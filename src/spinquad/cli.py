@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, validate_config
 from .hamiltonian import crossover_fields
-from .kinetics import DegenerateKernel, build_generator, level_report, steady_state
+from .kinetics import DegenerateKernel, level_report, steady_state_at
 from .multipoles import (
     SingularExtraction,
     dipole_x,
@@ -33,7 +32,7 @@ from .multipoles import (
     peak_areas_from_json,
     quadrupole,
 )
-from .odmr import OdmrResult, SingularResponse, odmr_spectrum
+from .odmr import OdmrResult, SingularResponse, odmr_map, odmr_spectrum
 from .rate_model import (
     IllConditioned,
     gs_signal_sign_small_field,
@@ -51,6 +50,7 @@ NUMERICAL_ERRORS = (
     SingularResponse,
     SingularExtraction,
     NotHermitian,
+    np.linalg.LinAlgError,
 )
 
 
@@ -178,40 +178,19 @@ def _cmd_spectrum(cfg: RunConfig, runner: Runner) -> None:
     runner.emit("spectrum", ["freq_MHz", "field_mT", "dpl", "baseline"], rows, data)
 
 
-def _map_row(args) -> tuple[int, np.ndarray, float]:
-    idx, center, rates, drive, bx, freqs = args
-    res = odmr_spectrum(center, rates, bx, drive, freqs)
-    return idx, res.dpl[0], float(res.baseline[0])
-
-
 def _cmd_map(cfg: RunConfig, runner: Runner, jobs: int = 1) -> None:
-    fields = cfg.field_grid.values()
-    freqs = cfg.freq_grid.values()
-    tasks = [
-        (i, cfg.center, cfg.rates, cfg.drive, float(bx), freqs)
-        for i, bx in enumerate(fields)
-    ]
-    dpl = np.empty((fields.size, freqs.size))
-    baseline = np.empty(fields.size)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for idx, row, base in pool.map(_map_row, tasks):
-                dpl[idx] = row
-                baseline[idx] = base
-    else:
-        for task in tasks:
-            idx, row, base = _map_row(task)
-            dpl[idx] = row
-            baseline[idx] = base
-    res = OdmrResult(freqs=freqs, fields=fields, dpl=dpl, baseline=baseline)
-    rows = _spectrum_rows(res)
-    data = {"fields_mT": fields, "freqs_MHz": freqs, "dpl": dpl, "baseline": baseline}
-    runner.emit("map", ["freq_MHz", "field_mT", "dpl", "baseline"], rows, data)
+    res = odmr_map(
+        cfg.center, cfg.rates, cfg.drive, cfg.freq_grid.values(), cfg.field_grid.values(),
+        jobs=jobs,
+    )
+    data = {"fields_mT": res.fields, "freqs_MHz": res.freqs, "dpl": res.dpl,
+            "baseline": res.baseline}
+    runner.emit("map", ["freq_MHz", "field_mT", "dpl", "baseline"], _spectrum_rows(res), data)
 
 
 def _cmd_husimi(cfg: RunConfig, runner: Runner) -> None:
     bx = float(cfg.field_grid.values()[0])
-    state = steady_state(build_generator(cfg.center, cfg.rates, bx))
+    state = steady_state_at(cfg.center, cfg.rates, bx)
     data = {"field_mT": bx}
     for level, rho in (("g", state.rho_g), ("e", state.rho_e)):
         grid = husimi(rho, cfg.husimi_n_theta, cfg.husimi_n_phi)
@@ -239,7 +218,7 @@ def _cmd_multipoles(cfg: RunConfig, runner: Runner) -> None:
     rows = []
     data = []
     for bx in cfg.field_grid.values():
-        state = steady_state(build_generator(cfg.center, cfg.rates, float(bx)))
+        state = steady_state_at(cfg.center, cfg.rates, float(bx))
         record = {
             "field_mT": float(bx),
             "quad_g": quadrupole(state.rho_g),
@@ -265,12 +244,6 @@ def _cmd_ratecheck(cfg: RunConfig, runner: Runner) -> None:
         small_field_crossover(ratio) if ratio is not None and 0.25 < ratio <= 1.0 else None
     )
     b_g_star, b_e_star = crossover_fields(cfg.center)
-    fast = min(r.pump, r.recomb)
-    hierarchy_ok = bool(
-        fast > 0
-        and max(r.gamma_g, r.gamma_e) <= 0.2 * fast
-        and r.gamma_ms <= 0.2 * r.recomb
-    )
     report = {
         "eta_ratio": ratio,
         "x_at_zero": small_field_x(0.0),
@@ -283,7 +256,7 @@ def _cmd_ratecheck(cfg: RunConfig, runner: Runner) -> None:
         "zeeman_threshold_es_mT": b_e_star,
         "gs_small_field_signal": gs_signal_sign_small_field(r),
         "large_field_signals_at_be_1": large_field_signals(r, 1.0),
-        "hierarchy_satisfied": hierarchy_ok,
+        "hierarchy_satisfied": r.in_hierarchy,
     }
     runner.emit("ratecheck", None, None, report)
 

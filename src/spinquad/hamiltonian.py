@@ -76,7 +76,7 @@ def build_hamiltonian(level: str, params: CenterParams, bx: float) -> np.ndarray
 def eigensystem(level: str, params: CenterParams, bx: float) -> EigenSystem:
     """Eigen-decomposition of H(level, B_x), descending energies."""
     h = build_hamiltonian(level, params, bx)
-    return hermitian_eig(h, basis_tag=f"{level}:{bx}mT")
+    return hermitian_eig(h)
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ from .spin_algebra import commutator, make_spin_operators, sym_anticommutator
 
 TWO_PI = 2.0 * np.pi
 
-# Fixed ordering of the 6 upper-triangle index pairs of a 4x4.
-UPPER_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+# Fixed row-major ordering of the 6 upper-triangle index pairs of a 4x4.
+UPPER_ROWS, UPPER_COLS = np.triu_indices(4, 1)
 
 NDIM = 33  # 16 (rho_g) + 16 (rho_e) + 1 (N_m)
 
@@ -73,6 +73,16 @@ class RateParams:
                 raise InvalidRates(f"{name} must be >= 0")
         if abs(self.eta_g) > 1 or abs(self.eta_e) > 1:
             raise InvalidRates("|eta| > 1 makes a branch rate negative")
+
+    @property
+    def in_hierarchy(self) -> bool:
+        """gamma_g, gamma_e <= 0.2*min(pump, recomb) > 0 and gamma_ms <= 0.2*recomb."""
+        fast = min(self.pump, self.recomb)
+        return bool(
+            fast > 0
+            and max(self.gamma_g, self.gamma_e) <= 0.2 * fast
+            and self.gamma_ms <= 0.2 * self.recomb
+        )
 
     @property
     def k_g_half(self) -> float:
@@ -124,38 +134,34 @@ class SpinState:
 
 
 def hermitian_to_coords(m: np.ndarray) -> np.ndarray:
-    """16 real coordinates of a Hermitian 4x4 (diag, Re upper, Im upper)."""
-    c = np.empty(16)
-    c[0:4] = np.diag(m).real
-    for k, (i, j) in enumerate(UPPER_PAIRS):
-        c[4 + k] = m[i, j].real
-        c[10 + k] = m[i, j].imag
-    return c
+    """16 real coordinates (diag, Re upper, Im upper) of Hermitian (..., 4, 4)."""
+    upper = m[..., UPPER_ROWS, UPPER_COLS]
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    return np.concatenate([diag.real, upper.real, upper.imag], axis=-1)
 
 
 def coords_to_hermitian(c: np.ndarray) -> np.ndarray:
     """Inverse of :func:`hermitian_to_coords`."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[np.diag_indices(4)] = c[0:4]
-    for k, (i, j) in enumerate(UPPER_PAIRS):
-        m[i, j] = c[4 + k] + 1j * c[10 + k]
-        m[j, i] = c[4 + k] - 1j * c[10 + k]
+    m = np.zeros(c.shape[:-1] + (4, 4), dtype=complex)
+    m[..., range(4), range(4)] = c[..., 0:4]
+    m[..., UPPER_ROWS, UPPER_COLS] = c[..., 4:10] + 1j * c[..., 10:16]
+    m[..., UPPER_COLS, UPPER_ROWS] = c[..., 4:10] - 1j * c[..., 10:16]
     return m
 
 
 def state_to_coords(s: SpinState) -> np.ndarray:
-    x = np.empty(NDIM)
-    x[0:16] = hermitian_to_coords(s.rho_g)
-    x[16:32] = hermitian_to_coords(s.rho_e)
-    x[32] = s.n_m
-    return x
+    n_m = np.asarray(s.n_m, dtype=float)[..., None]
+    return np.concatenate(
+        [hermitian_to_coords(s.rho_g), hermitian_to_coords(s.rho_e), n_m], axis=-1
+    )
 
 
 def coords_to_state(x: np.ndarray) -> SpinState:
+    """Inverse of :func:`state_to_coords`; a (..., NDIM) batch gives batched fields."""
     return SpinState(
-        rho_g=coords_to_hermitian(x[0:16]),
-        rho_e=coords_to_hermitian(x[16:32]),
-        n_m=float(x[32]),
+        rho_g=coords_to_hermitian(x[..., 0:16]),
+        rho_e=coords_to_hermitian(x[..., 16:32]),
+        n_m=np.take(x, 32, axis=-1),
     )
 
 
@@ -181,42 +187,51 @@ class GeneratorMatrix:
 def kinetic_rhs(
     center: CenterParams, rates: RateParams, bx: float, s: SpinState
 ) -> SpinState:
-    """Direct term-by-term evaluation of the kinetic equations at one state."""
+    """Direct term-by-term evaluation of the kinetic equations at one state or a batch."""
     ops = make_spin_operators()
     h_g = build_hamiltonian("g", center, bx)
     h_e = build_hamiltonian("e", center, bx)
     eye = np.eye(4, dtype=complex)
+    tr_g = np.trace(s.rho_g, axis1=-2, axis2=-1)[..., None, None]
+    tr_e = np.trace(s.rho_e, axis1=-2, axis2=-1)[..., None, None]
+    n_m = np.asarray(s.n_m)[..., None, None]
 
     d_g = (
         TWO_PI * 1j * commutator(s.rho_g, h_g)
         + rates.recomb * s.rho_e
         - rates.pump * s.rho_g
-        - rates.gamma_g * (s.rho_g - np.trace(s.rho_g) / 4.0 * eye)
-        + (s.n_m / 2.0) * (rates.k_g_half * ops.p_half + rates.k_g_three * ops.p_three_half)
+        - rates.gamma_g * (s.rho_g - tr_g / 4.0 * eye)
+        + (n_m / 2.0) * (rates.k_g_half * ops.p_half + rates.k_g_three * ops.p_three_half)
     )
     d_e = (
         TWO_PI * 1j * commutator(s.rho_e, h_e)
         - rates.recomb * s.rho_e
         + rates.pump * s.rho_g
-        - rates.gamma_e * (s.rho_e - np.trace(s.rho_e) / 4.0 * eye)
+        - rates.gamma_e * (s.rho_e - tr_e / 4.0 * eye)
         - rates.k_e_half * sym_anticommutator(ops.p_half, s.rho_e)
         - rates.k_e_three * sym_anticommutator(ops.p_three_half, s.rho_e)
     )
     d_m = (
-        rates.k_e_half * np.trace(ops.p_half @ s.rho_e).real
-        + rates.k_e_three * np.trace(ops.p_three_half @ s.rho_e).real
+        rates.k_e_half * np.trace(ops.p_half @ s.rho_e, axis1=-2, axis2=-1).real
+        + rates.k_e_three * np.trace(ops.p_three_half @ s.rho_e, axis1=-2, axis2=-1).real
         - (rates.k_g_half + rates.k_g_three) * s.n_m
     )
-    return SpinState(rho_g=d_g, rho_e=d_e, n_m=float(d_m))
+    return SpinState(rho_g=d_g, rho_e=d_e, n_m=d_m)
+
+
+def linear_map_matrix(fn) -> np.ndarray:
+    """Real NDIM x NDIM matrix of a linear ``SpinState -> SpinState`` map.
+
+    ``fn`` is applied once, to the batch of all NDIM unit states.  The result is
+    C-contiguous: a Fortran-ordered transpose rounds differently in LAPACK/BLAS.
+    """
+    images = state_to_coords(fn(coords_to_state(np.eye(NDIM))))
+    return np.ascontiguousarray(images.T)
 
 
 def build_generator(center: CenterParams, rates: RateParams, bx: float) -> GeneratorMatrix:
-    """Assemble the 33x33 real generator column by column from the kinetics."""
-    g = np.empty((NDIM, NDIM))
-    for k in range(NDIM):
-        unit = np.zeros(NDIM)
-        unit[k] = 1.0
-        g[:, k] = state_to_coords(kinetic_rhs(center, rates, bx, coords_to_state(unit)))
+    """Assemble the 33x33 real generator by probing the kinetics with unit states."""
+    g = linear_map_matrix(lambda s: kinetic_rhs(center, rates, bx, s))
     return GeneratorMatrix(matrix=g, center=center, rates=rates, bx=bx)
 
 

@@ -30,6 +30,7 @@ from .hamiltonian import CenterParams, transition_table
 from .kinetics import RateParams, steady_state_at
 from .rate_model import (
     TransferMatrices,
+    mw_population_kick,
     odmr_line_intensity,
     solve_population_variations,
     transfer_matrices,
@@ -226,14 +227,11 @@ def model_peak_areas(
     n_e = steady_state_at(center, rates, bx).n_e
     pv = solve_population_variations(rates, tm, n_e)
     out = []
-    for level, trans, df in (("g", GS_TRANSITIONS, pv.df_g), ("e", ES_OBSERVED, pv.df_e)):
+    for level, trans in (("g", GS_TRANSITIONS), ("e", ES_OBSERVED)):
         tt = transition_table(level, center, bx)
         areas = {}
         for i, j in trans:
-            _, m2 = tt.lookup(i, j)
-            kick = m2 * (df[j] - df[i]) * np.array(
-                [1.0 if k == i else -1.0 if k == j else 0.0 for k in range(4)]
-            )
+            kick = mw_population_kick(tt, pv, level, i, j)
             areas[(i, j)] = odmr_line_intensity(rates, tm, kick, level)
         out.append(PeakAreaSet(level=level, areas=areas, field=bx))
     return out[0], out[1]

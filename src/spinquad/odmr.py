@@ -16,11 +16,13 @@ exactly quadratically in the MW amplitude.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .hamiltonian import CenterParams, transition_table
+from .hamiltonian import CenterParams
 from .kinetics import (
     NDIM,
     GeneratorMatrix,
@@ -29,6 +31,7 @@ from .kinetics import (
     build_generator,
     commutator,
     coords_to_state,
+    linear_map_matrix,
     pl_intensity,
     state_to_coords,
     steady_state,
@@ -67,7 +70,6 @@ class OdmrResult:
     fields: np.ndarray     # (n_b,) mT
     dpl: np.ndarray        # (n_b, n_f) relative PL change
     baseline: np.ndarray   # (n_b,) PL in 1/us
-    transitions: tuple = ()  # per-field (gs_table, es_table) attribution
 
     def __post_init__(self):
         if self.dpl.shape != (self.fields.size, self.freqs.size):
@@ -81,15 +83,14 @@ def drive_superoperator(center: CenterParams, drive: DriveParams) -> np.ndarray:
     ops = make_spin_operators()
     s_axis = {"x": ops.sx, "y": ops.sy, "z": ops.sz}[drive.axis]
 
-    w = np.empty((NDIM, NDIM))
-    for k in range(NDIM):
-        unit = np.zeros(NDIM)
-        unit[k] = 1.0
-        s = coords_to_state(unit)
-        d_g = TWO_PI * 1j * commutator(s.rho_g, center.gyro_of("g") * s_axis)
-        d_e = TWO_PI * 1j * commutator(s.rho_e, center.gyro_of("e") * s_axis)
-        w[:, k] = state_to_coords(SpinState(rho_g=d_g, rho_e=d_e, n_m=0.0))
-    return w
+    def drive_rhs(s: SpinState) -> SpinState:
+        return SpinState(
+            rho_g=TWO_PI * 1j * commutator(s.rho_g, center.gyro_of("g") * s_axis),
+            rho_e=TWO_PI * 1j * commutator(s.rho_e, center.gyro_of("e") * s_axis),
+            n_m=np.zeros_like(s.n_m),
+        )
+
+    return linear_map_matrix(drive_rhs)
 
 
 def _second_order_dc(gen: GeneratorMatrix, source: np.ndarray) -> np.ndarray:
@@ -183,13 +184,11 @@ def odmr_spectrum(
         dpl[k], baseline = mw_response(
             center, rates, bx, replace(drive, freq=f), gen=gen, drive_op=w, s0=s0
         )
-    tables = (transition_table("g", center, bx), transition_table("e", center, bx))
     return OdmrResult(
         freqs=freqs,
         fields=np.array([bx]),
         dpl=dpl[None, :],
         baseline=np.array([baseline]),
-        transitions=(tables,),
     )
 
 
@@ -199,16 +198,25 @@ def odmr_map(
     drive: DriveParams,
     freq_grid,
     field_grid,
+    jobs: int = 1,
 ) -> OdmrResult:
-    """dPL/PL over frequency x field; rows are independent computations."""
+    """dPL/PL over frequency x field; rows are independent computations.
+
+    With ``jobs > 1`` the rows are spread over that many worker processes;
+    the result is bitwise the same as the serial one.
+    """
     fields = np.asarray(field_grid, dtype=float)
     if fields.size == 0:
         raise ValueError("field grid must be nonempty")
-    rows = [odmr_spectrum(center, rates, b, drive, freq_grid) for b in fields]
+    row = partial(odmr_spectrum, center, rates, drive=drive, freq_grid=freq_grid)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(row, fields))
+    else:
+        rows = [row(b) for b in fields]
     return OdmrResult(
         freqs=np.asarray(freq_grid, dtype=float),
         fields=fields,
         dpl=np.vstack([r.dpl for r in rows]),
         baseline=np.concatenate([r.baseline for r in rows]),
-        transitions=tuple(r.transitions[0] for r in rows),
     )

@@ -229,12 +229,7 @@ def small_field_crossover(ratio: float) -> float:
 
 
 def _check_hierarchy(rates: RateParams) -> None:
-    fast = min(rates.pump, rates.recomb)
-    if (
-        fast <= 0
-        or max(rates.gamma_g, rates.gamma_e) > 0.2 * fast
-        or rates.gamma_ms > 0.2 * rates.recomb
-    ):
+    if not rates.in_hierarchy:
         warnings.warn(
             "rate hierarchy gamma_g, gamma_e, gamma_ms << pump, recomb not "
             "satisfied; closed-form small-field expressions are approximate",

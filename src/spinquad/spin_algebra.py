@@ -40,7 +40,6 @@ class EigenSystem:
 
     energies: np.ndarray  # shape (4,), MHz, descending
     vectors: np.ndarray   # shape (4, 4), column i belongs to energies[i]
-    basis_tag: str = ""
 
 
 def make_spin_operators() -> SpinOperators:
@@ -94,7 +93,7 @@ def _degenerate_clusters(energies: np.ndarray) -> list[list[int]]:
     return clusters
 
 
-def hermitian_eig(m: np.ndarray, basis_tag: str = "", htol: float = 1e-10) -> EigenSystem:
+def hermitian_eig(m: np.ndarray, htol: float = 1e-10) -> EigenSystem:
     """Diagonalize a Hermitian 4x4 with descending energies and fixed tie-breaking.
 
     Inside a degenerate subspace the eigenvectors are the projections of the
@@ -134,7 +133,7 @@ def hermitian_eig(m: np.ndarray, basis_tag: str = "", htol: float = 1e-10) -> Ei
             v[:, cluster] = np.column_stack(chosen)
 
     v = _phase_fix(v)
-    return EigenSystem(energies=w, vectors=v, basis_tag=basis_tag)
+    return EigenSystem(energies=w, vectors=v)
 
 
 def expm_hermitian(generator: np.ndarray, scale: complex = 1.0) -> np.ndarray:

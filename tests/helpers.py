@@ -12,10 +12,74 @@ import numpy as np
 from scipy.integrate import quad
 
 from spinquad.hamiltonian import CenterParams, eigensystem, transition_table
-from spinquad.kinetics import RateParams, build_generator, steady_state
+from spinquad.kinetics import (
+    NDIM,
+    RateParams,
+    SpinState,
+    build_generator,
+    kinetic_rhs,
+    steady_state,
+)
 from spinquad.odmr import drive_superoperator, mw_response
 from spinquad.rate_model import rate_model_lines
-from spinquad.spin_algebra import make_spin_operators
+from spinquad.spin_algebra import commutator, make_spin_operators
+
+UPPER_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def _loop_hermitian(c):
+    m = np.zeros((4, 4), dtype=complex)
+    m[np.diag_indices(4)] = c[0:4]
+    for k, (i, j) in enumerate(UPPER_PAIRS):
+        m[i, j] = c[4 + k] + 1j * c[10 + k]
+        m[j, i] = c[4 + k] - 1j * c[10 + k]
+    return m
+
+
+def _loop_coords(m):
+    c = np.empty(16)
+    c[0:4] = np.diag(m).real
+    for k, (i, j) in enumerate(UPPER_PAIRS):
+        c[4 + k] = m[i, j].real
+        c[10 + k] = m[i, j].imag
+    return c
+
+
+def probe_columns(fn):
+    """Matrix of a linear SpinState map, one unit state per call.
+
+    The column-by-column reference for ``kinetics.linear_map_matrix``, with
+    its own entry-by-entry coordinate conversions.
+    """
+    m = np.empty((NDIM, NDIM))
+    for k in range(NDIM):
+        unit = np.zeros(NDIM)
+        unit[k] = 1.0
+        s = fn(SpinState(
+            rho_g=_loop_hermitian(unit[0:16]), rho_e=_loop_hermitian(unit[16:32]), n_m=unit[32]
+        ))
+        m[0:16, k] = _loop_coords(s.rho_g)
+        m[16:32, k] = _loop_coords(s.rho_e)
+        m[32, k] = s.n_m
+    return m
+
+
+def loop_generator(center, rates, bx):
+    """Reference for ``build_generator``: kinetic_rhs probed column by column."""
+    return probe_columns(lambda s: kinetic_rhs(center, rates, bx, s))
+
+
+def loop_drive_superoperator(center, drive):
+    """Reference for ``drive_superoperator``: the drive commutator, column by column."""
+    ops = make_spin_operators()
+    s_axis = {"x": ops.sx, "y": ops.sy, "z": ops.sz}[drive.axis]
+
+    def rhs(s):
+        d_g = 2.0 * np.pi * 1j * commutator(s.rho_g, center.gyro_of("g") * s_axis)
+        d_e = 2.0 * np.pi * 1j * commutator(s.rho_e, center.gyro_of("e") * s_axis)
+        return SpinState(rho_g=d_g, rho_e=d_e, n_m=0.0)
+
+    return probe_columns(rhs)
 
 
 class SecularPopulationModel:

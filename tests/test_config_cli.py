@@ -63,6 +63,37 @@ def test_validate_cli_exit_codes(tmp_path, capsys):
     assert main(["validate", "--set", "rates.eta_e=1.5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "override", ["center.d_g=NaN", "rates.pump=Infinity", "drive.b1=NaN"]
+)
+def test_validate_cli_rejects_non_finite(override, tmp_path, capsys):
+    assert main(["validate", "--set", override]) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert main(["multipoles", "--out", str(tmp_path), "--set", override]) == 2
+
+
+def test_cli_linalg_error_exit3(tmp_path, monkeypatch):
+    import spinquad.cli as cli
+
+    def no_convergence(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "steady_state_at", no_convergence)
+    assert main(["multipoles", "--out", str(tmp_path), "--set", "sweep.field.steps=1"]) == 3
+
+
+def test_hierarchy_rule_shared(tmp_path):
+    # one predicate behind the ratecheck flag and the validate warning, with
+    # the boundary gamma_g = 0.2*min(pump, recomb) inside the hierarchy
+    for gamma_g, inside in ((0.2, True), (0.2001, False)):
+        out = tmp_path / str(gamma_g)
+        assert main(["ratecheck", "--out", str(out), "--set", f"rates.gamma_g={gamma_g}"]) == 0
+        doc = json.loads((out / "ratecheck.json").read_text())
+        assert doc["data"]["hierarchy_satisfied"] is inside
+        _, warns = validate_config(load_config(None, [f"rates.gamma_g={gamma_g}"]))
+        assert any("hierarchy" in w for w in warns) is not inside
+
+
 def test_cli_unknown_config_exit2(tmp_path):
     assert main(["levels", "--config", str(tmp_path / "nope.json")]) == 2
 

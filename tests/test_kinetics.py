@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_rates
+from helpers import loop_generator
+from spinquad.hamiltonian import CenterParams
 from spinquad.kinetics import (
     NDIM,
     DegenerateKernel,
@@ -78,6 +80,22 @@ def test_generator_matches_direct_rhs(center, rates):
         x = rng.normal(size=NDIM)
         direct = state_to_coords(kinetic_rhs(center, rates, 4.0, coords_to_state(x)))
         assert np.max(np.abs(gen.matrix @ x - direct)) < 1e-10 * max(1.0, np.max(np.abs(direct)))
+
+
+def test_generator_matches_column_loop():
+    # the batched probe must reproduce the column-by-column assembly bit for
+    # bit, signs of zeros included, and hand LAPACK a C-ordered matrix
+    rng = np.random.default_rng(21)
+    for k in range(30):
+        center = CenterParams(d_g=float(rng.uniform(5, 100)), d_e=float(rng.uniform(50, 400)),
+                              g_factor=float(rng.uniform(1.5, 2.5)))
+        bx = 0.0 if k == 0 else float(rng.uniform(0, 20))
+        rates = random_valid_rates(rng)
+        gen = build_generator(center, rates, bx)
+        ref = loop_generator(center, rates, bx)
+        assert np.array_equal(gen.matrix, ref)
+        assert np.array_equal(np.signbit(gen.matrix), np.signbit(ref))
+        assert gen.matrix.flags.c_contiguous
 
 
 def test_hermiticity_preserved(center, rates):

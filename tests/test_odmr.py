@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import compare_secular_lines, find_features
-from spinquad.hamiltonian import transition_table
+from helpers import compare_secular_lines, find_features, loop_drive_superoperator
+from spinquad.hamiltonian import CenterParams, transition_table
 from spinquad.kinetics import (
     RateParams,
     SpinState,
@@ -154,6 +154,24 @@ def test_map_rows_match_individual_spectra(center, rates, drive):
         row = odmr_spectrum(center, rates, float(bx), drive, freqs)
         assert np.array_equal(res.dpl[ib], row.dpl[0])
         assert res.baseline[ib] == row.baseline[0]
+    par = odmr_map(center, rates, drive, freqs, fields, jobs=2)
+    assert np.array_equal(par.dpl, res.dpl)
+    assert np.array_equal(par.baseline, res.baseline)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_drive_superoperator_matches_column_loop(axis):
+    rng = np.random.default_rng(ord(axis))
+    for _ in range(10):
+        center = CenterParams(d_g=float(rng.uniform(5, 100)), d_e=float(rng.uniform(50, 400)),
+                              g_factor=float(rng.uniform(1.5, 2.5)),
+                              g_factor_e=float(rng.uniform(1.5, 2.5)))
+        drive = DriveParams(b1=0.002, axis=axis)
+        w = drive_superoperator(center, drive)
+        ref = loop_drive_superoperator(center, drive)
+        assert np.array_equal(w, ref)
+        assert np.array_equal(np.signbit(w), np.signbit(ref))
+        assert w.flags.c_contiguous
 
 
 def test_perturbative_warning(center, rates):
