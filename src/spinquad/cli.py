@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--format", default=None, choices=["csv", "json", "both"])
-    common.add_argument("--jobs", type=int, default=1, help="sweep workers")
+    common.add_argument("--jobs", type=int, default=1, help="sweep workers (at least 1)")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in ("levels", "spectrum", "map", "husimi", "multipoles", "ratecheck", "validate"):
@@ -331,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = load_config(args.config, args.overrides)
         if args.out:
             cfg = _with_output(cfg, out_dir=args.out)

@@ -11,13 +11,26 @@ with wt = 2*pi*freq, V = b1 * W and W the superoperator of the unit-amplitude
 drive commutator acting on both density-matrix blocks.  The 2w sidebands it
 neglects would feed back only at order |B_1|^4, so the reported dPL/PL scales
 exactly quadratically in the MW amplitude.
+
+A spectrum at one field is computed in pole form.  One eigendecomposition
+G = V diag(lam) V^-1 turns the first-harmonic solves for all frequencies into
+s+(w) = V diag(1/(lam + i*wt)) V^-1 (-V s0), a sum of 33 complex Lorentzians
+evaluated as one (33, n_f) product, and the DC stage into one least-squares
+solve with the n_f sources as columns.  Each frequency's s+ is accepted only
+if its normwise backward error
+
+    |(G + i*wt) s+ + V s0| / ((|G|_2 + |wt|) |s+| + |V s0|)
+
+is finite and at most POLE_BACKWARD_ERROR; any other frequency (near an
+exceptional point, or in an undamped regime) is recomputed by the direct
+solve of ``mw_response``, with its residual gate and SingularResponse.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -43,6 +56,10 @@ TWO_PI = 2.0 * np.pi
 
 # Fraction of the baseline PL beyond which the quadratic truncation is suspect.
 PERTURBATIVE_LIMIT = 0.2
+
+# Largest normwise backward error of a pole-form s+ that is accepted without
+# recomputing it by the direct solve (a few hundred ulps).
+POLE_BACKWARD_ERROR = 1e-12
 
 
 class SingularResponse(RuntimeError):
@@ -94,12 +111,43 @@ def drive_superoperator(center: CenterParams, drive: DriveParams) -> np.ndarray:
 
 
 def _second_order_dc(gen: GeneratorMatrix, source: np.ndarray) -> np.ndarray:
-    """Solve G ds = source on the complement of the trace zero mode."""
+    """Solve G ds = source on the complement of the trace zero mode.
+
+    ``source`` is one (33,) vector or a (33, n) block of them as columns.
+    """
     t_row = trace_functional()
     a = np.vstack([gen.matrix, t_row])
-    b = np.append(source, 0.0)
+    b = np.concatenate([source, np.zeros((1,) + source.shape[1:])])
     ds, *_ = np.linalg.lstsq(a, b, rcond=None)
     return ds
+
+
+def _first_harmonic(
+    gen: GeneratorMatrix, omega: float, rhs: np.ndarray, freq: float
+) -> np.ndarray:
+    """Direct solve of (G + i*omega) s+ = rhs; SingularResponse when it fails."""
+    a_plus = gen.matrix + 1j * omega * np.eye(NDIM)
+    try:
+        s_plus = np.linalg.solve(a_plus, rhs)
+    except np.linalg.LinAlgError as err:
+        raise SingularResponse(f"first-harmonic solve singular at {freq} MHz") from err
+    if not np.all(np.isfinite(s_plus)) or (
+        np.linalg.norm(a_plus @ s_plus - rhs) > 1e-6 * max(np.linalg.norm(rhs), 1e-300)
+    ):
+        raise SingularResponse(
+            f"first-harmonic solve is singular at {freq} MHz "
+            "(undamped resonance: no relaxation at this transition)"
+        )
+    return s_plus
+
+
+def _warn_if_nonperturbative(dpl: float) -> None:
+    if abs(dpl) > PERTURBATIVE_LIMIT:
+        warnings.warn(
+            f"second-order response {dpl:.3f} exceeds {PERTURBATIVE_LIMIT:.0%} of the "
+            "baseline PL; the quadratic truncation is unreliable here",
+            stacklevel=3,
+        )
 
 
 def mw_response(
@@ -113,8 +161,9 @@ def mw_response(
 ) -> tuple[float, float]:
     """(dPL/PL, baseline PL) at one static field and one MW frequency.
 
-    ``gen``, ``drive_op`` and ``s0`` may be passed in to amortize their
-    construction over a frequency sweep; they must match (center, rates, bx).
+    This is the direct solve, the reference for ``odmr_spectrum``.  ``gen``,
+    ``drive_op`` and ``s0`` may be passed in to amortize their construction
+    over several calls; they must match (center, rates, bx).
     """
     if gen is None:
         gen = build_generator(center, rates, bx)
@@ -130,22 +179,8 @@ def mw_response(
 
     x0 = state_to_coords(s0)
     v_x0 = drive_op @ x0
-    omega = TWO_PI * drive.freq
     b1 = complex(drive.b1)
-
-    a_plus = gen.matrix + 1j * omega * np.eye(NDIM)
-    rhs = -b1 * v_x0
-    try:
-        s_plus = np.linalg.solve(a_plus, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SingularResponse(f"first-harmonic solve singular at {drive.freq} MHz") from err
-    if not np.all(np.isfinite(s_plus)) or (
-        np.linalg.norm(a_plus @ s_plus - rhs) > 1e-6 * max(np.linalg.norm(rhs), 1e-300)
-    ):
-        raise SingularResponse(
-            f"first-harmonic solve is singular at {drive.freq} MHz "
-            "(undamped resonance: no relaxation at this transition)"
-        )
+    s_plus = _first_harmonic(gen, TWO_PI * drive.freq, -b1 * v_x0, drive.freq)
 
     # s- = conj(s+), so the DC source -(V s- + V* s+) is real by construction.
     source = -2.0 * (drive_op @ np.real(np.conj(b1) * s_plus))
@@ -153,13 +188,30 @@ def mw_response(
     d_state = coords_to_state(ds)
     dpl = rates.recomb * d_state.n_e / baseline
 
-    if abs(dpl) > PERTURBATIVE_LIMIT:
-        warnings.warn(
-            f"second-order response {dpl:.3f} exceeds {PERTURBATIVE_LIMIT:.0%} of the "
-            "baseline PL; the quadratic truncation is unreliable here",
-            stacklevel=2,
-        )
+    _warn_if_nonperturbative(dpl)
     return float(dpl), float(baseline)
+
+
+def _pole_first_harmonic(gen: GeneratorMatrix, freqs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """s+ at every frequency as the (33, n_f) columns, from one eigendecomposition."""
+    omega = TWO_PI * freqs
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam, vec = np.linalg.eig(gen.matrix)
+        try:
+            coef = np.linalg.solve(vec, rhs)
+        except np.linalg.LinAlgError:
+            coef = np.full(NDIM, np.nan)
+        s_plus = vec @ (coef[:, None] / (lam[:, None] + 1j * omega))
+        resid = gen.matrix @ s_plus + 1j * omega * s_plus - rhs[:, None]
+        scale = (np.linalg.norm(gen.matrix, 2) + np.abs(omega)) * np.linalg.norm(
+            s_plus, axis=0
+        ) + np.linalg.norm(rhs)
+        # backward error <= cut-off, written so that NaN and inf fail it and an
+        # exact zero response (0/0) passes
+        accepted = np.linalg.norm(resid, axis=0) <= POLE_BACKWARD_ERROR * scale
+    for k in np.flatnonzero(~accepted):
+        s_plus[:, k] = _first_harmonic(gen, omega[k], rhs, freqs[k])
+    return s_plus
 
 
 def odmr_spectrum(
@@ -178,12 +230,19 @@ def odmr_spectrum(
 
     gen = build_generator(center, rates, bx)
     s0 = steady_state(gen)
-    w = drive_superoperator(center, drive)
-    dpl = np.empty(freqs.size)
-    for k, f in enumerate(freqs):
-        dpl[k], baseline = mw_response(
-            center, rates, bx, replace(drive, freq=f), gen=gen, drive_op=w, s0=s0
-        )
+    baseline = pl_intensity(rates, s0)
+    if drive.b1 == 0:
+        dpl = np.zeros(freqs.size)
+    else:
+        w = drive_superoperator(center, drive)
+        b1 = complex(drive.b1)
+        rhs = -b1 * (w @ state_to_coords(s0))
+        s_plus = _pole_first_harmonic(gen, freqs, rhs)
+        source = -2.0 * (w @ np.real(np.conj(b1) * s_plus))
+        ds = _second_order_dc(gen, source)
+        dpl = rates.recomb * ds[16:20].sum(axis=0) / baseline
+        for value in dpl:
+            _warn_if_nonperturbative(value)
     return OdmrResult(
         freqs=freqs,
         fields=np.array([bx]),
@@ -202,15 +261,16 @@ def odmr_map(
 ) -> OdmrResult:
     """dPL/PL over frequency x field; rows are independent computations.
 
-    With ``jobs > 1`` the rows are spread over that many worker processes;
-    the result is bitwise the same as the serial one.
+    With ``jobs > 1`` the rows are spread over that many worker processes,
+    at most one per field; the result is bitwise the same as the serial one.
     """
     fields = np.asarray(field_grid, dtype=float)
     if fields.size == 0:
         raise ValueError("field grid must be nonempty")
     row = partial(odmr_spectrum, center, rates, drive=drive, freq_grid=freq_grid)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, fields.size)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(row, fields))
     else:
         rows = [row(b) for b in fields]

@@ -164,6 +164,14 @@ def test_map_jobs_deterministic(tmp_path):
     assert (out1 / "map.csv").read_bytes() == (out2 / "map.csv").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_map_rejects_jobs_below_one(tmp_path, jobs, capsys):
+    out = tmp_path / "map"
+    assert main(["map", "--jobs", jobs, "--out", str(out)]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_levels_output(tmp_path, center):
     out = tmp_path / "lv"
     code = main([

@@ -1,8 +1,12 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spinquad.odmr as odmr
 from helpers import compare_secular_lines, find_features, loop_drive_superoperator
 from spinquad.hamiltonian import CenterParams, transition_table
 from spinquad.kinetics import (
@@ -11,8 +15,10 @@ from spinquad.kinetics import (
     build_generator,
     state_to_coords,
     steady_state,
+    trace_functional,
 )
 from spinquad.odmr import (
+    PERTURBATIVE_LIMIT,
     DriveParams,
     SingularResponse,
     drive_superoperator,
@@ -21,6 +27,7 @@ from spinquad.odmr import (
     odmr_spectrum,
 )
 from spinquad.rate_model import rate_model_lines
+from spinquad.spin_algebra import make_spin_operators
 
 
 def test_zero_amplitude_gives_zero(center, rates):
@@ -223,3 +230,140 @@ def test_secular_area_agreement_linear_regime(center, drive):
     assert signs_ok
     assert used, "no mutually visible lines found"
     assert max_dev < 0.05
+
+
+def oracle_dpl(center, rates, bx, drive, freqs):
+    """dPL/PL at each frequency from the direct single-frequency solve."""
+    gen = build_generator(center, rates, bx)
+    s0 = steady_state(gen)
+    w = drive_superoperator(center, drive)
+    return np.array([
+        mw_response(center, rates, bx, replace(drive, freq=float(f)),
+                    gen=gen, drive_op=w, s0=s0)[0]
+        for f in freqs
+    ])
+
+
+def second_order_scale(center, rates, bx, drive, freqs):
+    """Largest entry of the second-order state change ds over the grid, per n_e.
+
+    dPL/PL = sum(ds[16:20]) / n_e is one readout of ds; the round-off of any
+    solver for it is relative to |ds|, not to dPL/PL itself.
+    """
+    gen = build_generator(center, rates, bx)
+    s0 = steady_state(gen)
+    w = drive_superoperator(center, drive)
+    b1 = complex(drive.b1)
+    a = np.vstack([gen.matrix, trace_functional()])
+    largest = 0.0
+    for f in freqs:
+        s_plus = np.linalg.solve(gen.matrix + 2j * np.pi * f * np.eye(33),
+                                 -b1 * (w @ state_to_coords(s0)))
+        source = -2.0 * (w @ np.real(np.conj(b1) * s_plus))
+        ds = np.linalg.lstsq(a, np.append(source, 0.0), rcond=None)[0]
+        largest = max(largest, np.max(np.abs(ds)))
+    return largest / s0.n_e
+
+
+@pytest.mark.parametrize("bx", [0.0, 1.0, 7.0, 15.0])
+def test_spectrum_matches_mw_response(center, rates, drive, bx):
+    freqs = np.linspace(20.0, 500.0, 481)
+    res = odmr_spectrum(center, rates, bx, drive, freqs)
+    ref = oracle_dpl(center, rates, bx, drive, freqs)
+    assert res.baseline[0] == mw_response(center, rates, bx, drive)[1]
+    floor = 1e-3 * np.max(np.abs(ref))
+    assert np.all(np.abs(res.dpl[0] - ref) <= 1e-10 * np.maximum(np.abs(ref), floor))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d_g=st.floats(5.0, 100.0), d_e=st.floats(50.0, 400.0),
+    g_g=st.floats(1.5, 2.5), g_e=st.floats(1.5, 2.5),
+    pump=st.floats(0.2, 5.0), recomb=st.floats(1.0, 30.0), gamma_ms=st.floats(0.05, 3.0),
+    eta_g=st.floats(-0.9, 0.9), eta_e=st.floats(-0.9, 0.9),
+    gamma_g=st.floats(1e-3, 0.5), gamma_e=st.floats(1e-3, 0.5),
+    log_scale=st.floats(-3.0, 0.0),
+    bx=st.floats(0.0, 30.0),
+    axis=st.sampled_from(["x", "y", "z"]),
+    b1_abs=st.floats(1e-4, 1e-2), b1_phase=st.floats(0.0, 2 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectrum_matches_mw_response_property(
+    d_g, d_e, g_g, g_e, pump, recomb, gamma_ms, eta_g, eta_e, gamma_g, gamma_e,
+    log_scale, bx, axis, b1_abs, b1_phase, seed,
+):
+    center = CenterParams(d_g=d_g, d_e=d_e, g_factor=g_g, g_factor_e=g_e)
+    rates = RateParams(pump=pump, recomb=recomb, gamma_ms=gamma_ms, eta_g=eta_g,
+                       eta_e=eta_e, gamma_g=gamma_g, gamma_e=gamma_e).scaled(10**log_scale)
+    drive = DriveParams(b1=b1_abs * np.exp(1j * b1_phase), axis=axis)
+    # random frequencies plus every line center, where the response peaks
+    s_axis = getattr(make_spin_operators(), "s" + axis)
+    lines = np.concatenate([transition_table(lv, center, bx, s_axis).freq for lv in "ge"])
+    rng = np.random.default_rng(seed)
+    freqs = np.sort(np.concatenate([rng.uniform(1.0, 700.0, 30), lines[lines >= 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = odmr_spectrum(center, rates, bx, drive, freqs)
+        ref = oracle_dpl(center, rates, bx, drive, freqs)
+    # Near a null response (a z-drive at or near 0 mT, eta_e = 0 at equal ES
+    # rates) dPL/PL cancels far below |ds| and both sides are round-off of ds.
+    scale = max(np.max(np.abs(ref)), second_order_scale(center, rates, bx, drive, freqs))
+    assert np.max(np.abs(res.dpl[0] - ref)) <= 1e-8 * scale
+
+
+def test_spectrum_fallback_matches_mw_response(center, rates, drive, monkeypatch):
+    freqs = np.linspace(20.0, 500.0, 41)
+    refs = {bx: oracle_dpl(center, rates, bx, drive, freqs) for bx in (0.0, 7.0)}
+    calls = []
+    direct = odmr._first_harmonic
+
+    def counting(*args):
+        calls.append(args[1])
+        return direct(*args)
+
+    monkeypatch.setattr(odmr, "POLE_BACKWARD_ERROR", 0.0)
+    monkeypatch.setattr(odmr, "_first_harmonic", counting)
+    for bx, ref in refs.items():
+        calls.clear()
+        res = odmr_spectrum(center, rates, bx, drive, freqs)
+        assert len(calls) == freqs.size
+        assert np.max(np.abs(res.dpl[0] - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_spectrum_warns_once_per_nonperturbative_frequency(center, rates):
+    freqs = np.linspace(60.0, 80.0, 81)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = odmr_spectrum(center, rates, 0.0, DriveParams(b1=0.01), freqs)
+    hits = [w for w in caught if "second-order response" in str(w.message)]
+    expected = np.count_nonzero(np.abs(res.dpl[0]) > PERTURBATIVE_LIMIT)
+    assert expected >= 1
+    assert len(hits) == expected
+    assert all(w.filename == __file__ for w in hits)
+
+
+def test_map_workers_bounded_by_fields(center, rates, drive, monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the size, starts no process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(odmr, "ProcessPoolExecutor", RecordingPool)
+    freqs = np.linspace(60.0, 80.0, 5)
+    res = odmr_map(center, rates, drive, freqs, [0.0, 2.0], jobs=10**6)
+    assert requested == [2]
+    serial = odmr_map(center, rates, drive, freqs, [0.0, 2.0])
+    assert requested == [2]
+    assert np.array_equal(res.dpl, serial.dpl)
