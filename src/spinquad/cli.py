@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, validate_config
 from .hamiltonian import crossover_fields
-from .kinetics import DegenerateKernel, level_report, steady_state_at
+from .kinetics import DegenerateKernel, level_report, steady_state_at, steady_states
 from .multipoles import (
     SingularExtraction,
     dipole_x,
@@ -54,21 +54,35 @@ NUMERICAL_ERRORS = (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".17g")
+# printf conversion per column dtype kind: floats with 17 significant digits,
+# integers and bools as integers, strings as they are
+_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
 
-def write_csv(path: Path, subcommand: str, columns: list[str], rows, meta: dict) -> None:
+def _column_text(column) -> list[str]:
+    """CSV text of every value of a 1-D column, each distinct value formatted once.
+
+    Grid axes repeat their values down a file.  Floats are told apart by
+    their bits, so that -0.0 and 0.0 keep their own text.
+    """
+    column = np.asarray(column)
+    fmt = _CSV_FORMATS[column.dtype.kind]
+    if column.dtype.kind == "f":
+        bits, index = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
+        distinct = bits.view(np.float64)
+    else:
+        distinct, index = np.unique(column, return_inverse=True)
+    text = np.array([fmt % v for v in distinct.tolist()], dtype=object)
+    return text[index].tolist()
+
+
+def write_csv(path: Path, subcommand: str, names: list[str], columns, meta: dict) -> None:
+    """Write equal-length 1-D ``columns`` under the header ``names``."""
     lines = [f"# {SCHEMA_TAG} {subcommand}"]
     for key in sorted(meta):
         lines.append(f"# {key}={meta[key]}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.append(",".join(names))
+    lines.extend(map(",".join, zip(*(_column_text(c) for c in columns))))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -79,6 +93,8 @@ def write_json(path: Path, subcommand: str, meta: dict, data) -> None:
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":
+            return obj.tolist()
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -109,13 +125,13 @@ class Runner:
     def meta(self) -> dict:
         return {"version": __version__, "subcommand": self.subcommand}
 
-    def emit(self, stem: str, columns, rows, data_json) -> None:
+    def emit(self, stem: str, names, columns, data_json) -> None:
         fmt = self.cfg.out_format
-        if fmt in ("csv", "both") and columns is not None:
+        if fmt in ("csv", "both") and names is not None:
             p = self.out_dir / f"{stem}.csv"
-            write_csv(p, self.subcommand, columns, rows, self.meta())
+            write_csv(p, self.subcommand, names, columns, self.meta())
             self.outputs.append(p.name)
-        if fmt in ("json", "both") or columns is None:
+        if fmt in ("json", "both") or names is None:
             p = self.out_dir / f"{stem}.json"
             meta = {**self.meta(), "config": _jsonable(self.cfg.to_dict())}
             write_json(p, self.subcommand, meta, _jsonable(data_json))
@@ -135,47 +151,49 @@ class Runner:
 
 
 def _cmd_levels(cfg: RunConfig, runner: Runner) -> None:
-    rows = []
+    fields = cfg.field_grid.values()
+    states = steady_states(cfg.center, cfg.rates, fields)
     data = []
-    for bx in cfg.field_grid.values():
-        rep = level_report(cfg.center, cfg.rates, float(bx))
+    for k, bx in enumerate(fields):
+        rep = level_report(cfg.center, cfg.rates, float(bx), states[k])
         for level in ("g", "e"):
-            e = rep[f"energies_{level}"]
-            p = rep[f"populations_{level}"]
-            br = rep[f"brightness_{level}"]
-            rows.append([bx, level, *e, *p, *br])
             data.append(
-                {"field_mT": float(bx), "level": level, "energies_MHz": e,
-                 "populations": p, "brightness": br}
+                {"field_mT": float(bx), "level": level,
+                 "energies_MHz": rep[f"energies_{level}"],
+                 "populations": rep[f"populations_{level}"],
+                 "brightness": rep[f"brightness_{level}"]}
             )
-    cols = (
-        ["field_mT", "level"]
-        + [f"e{i}_MHz" for i in range(1, 5)]
-        + [f"pop{i}" for i in range(1, 5)]
-        + [f"bright{i}" for i in range(1, 5)]
-    )
-    runner.emit("levels", cols, rows, data)
+    names = ["field_mT", "level"]
+    columns = [np.repeat(fields, 2), np.tile(["g", "e"], len(fields))]
+    for key, prefix, unit in (
+        ("energies_MHz", "e", "_MHz"), ("populations", "pop", ""), ("brightness", "bright", "")
+    ):
+        names += [f"{prefix}{i}{unit}" for i in range(1, 5)]
+        columns += list(np.array([d[key] for d in data]).T)
+    runner.emit("levels", names, columns, data)
 
 
-def _spectrum_rows(result: OdmrResult):
-    rows = []
-    for ib, bx in enumerate(result.fields):
-        for k, f in enumerate(result.freqs):
-            rows.append([f, bx, result.dpl[ib, k], result.baseline[ib]])
-    return rows
+def _spectrum_columns(result: OdmrResult) -> list:
+    n_f = result.freqs.size
+    return [
+        np.tile(result.freqs, result.fields.size),
+        np.repeat(result.fields, n_f),
+        result.dpl.ravel(),
+        np.repeat(result.baseline, n_f),
+    ]
 
 
 def _cmd_spectrum(cfg: RunConfig, runner: Runner) -> None:
     bx = float(cfg.field_grid.values()[0])
     res = odmr_spectrum(cfg.center, cfg.rates, bx, cfg.drive, cfg.freq_grid.values())
-    rows = _spectrum_rows(res)
     data = {
         "field_mT": bx,
         "freqs_MHz": res.freqs,
         "dpl": res.dpl[0],
         "baseline": res.baseline[0],
     }
-    runner.emit("spectrum", ["freq_MHz", "field_mT", "dpl", "baseline"], rows, data)
+    runner.emit("spectrum", ["freq_MHz", "field_mT", "dpl", "baseline"],
+                _spectrum_columns(res), data)
 
 
 def _cmd_map(cfg: RunConfig, runner: Runner, jobs: int = 1) -> None:
@@ -185,7 +203,7 @@ def _cmd_map(cfg: RunConfig, runner: Runner, jobs: int = 1) -> None:
     )
     data = {"fields_mT": res.fields, "freqs_MHz": res.freqs, "dpl": res.dpl,
             "baseline": res.baseline}
-    runner.emit("map", ["freq_MHz", "field_mT", "dpl", "baseline"], _spectrum_rows(res), data)
+    runner.emit("map", ["freq_MHz", "field_mT", "dpl", "baseline"], _spectrum_columns(res), data)
 
 
 def _cmd_husimi(cfg: RunConfig, runner: Runner) -> None:
@@ -194,11 +212,6 @@ def _cmd_husimi(cfg: RunConfig, runner: Runner) -> None:
     data = {"field_mT": bx}
     for level, rho in (("g", state.rho_g), ("e", state.rho_e)):
         grid = husimi(rho, cfg.husimi_n_theta, cfg.husimi_n_phi)
-        rows = [
-            [th, ph, grid.values[i, j]]
-            for i, th in enumerate(grid.thetas)
-            for j, ph in enumerate(grid.phis)
-        ]
         data[level] = {
             "thetas": grid.thetas,
             "phis": grid.phis,
@@ -207,18 +220,24 @@ def _cmd_husimi(cfg: RunConfig, runner: Runner) -> None:
         }
         if cfg.out_format in ("csv", "both"):
             path = runner.out_dir / f"husimi_{level}.csv"
+            columns = [
+                np.repeat(grid.thetas, grid.phis.size),
+                np.tile(grid.phis, grid.thetas.size),
+                grid.values.ravel(),
+            ]
             write_csv(path, "husimi", ["theta", "phi", "value"],
-                      rows, {**runner.meta(), "field_mT": bx, "level": level})
+                      columns, {**runner.meta(), "field_mT": bx, "level": level})
             runner.outputs.append(path.name)
     if cfg.out_format in ("json", "both"):
         runner.emit("husimi", None, None, data)
 
 
 def _cmd_multipoles(cfg: RunConfig, runner: Runner) -> None:
-    rows = []
+    fields = cfg.field_grid.values()
+    states = steady_states(cfg.center, cfg.rates, fields)
     data = []
-    for bx in cfg.field_grid.values():
-        state = steady_state_at(cfg.center, cfg.rates, float(bx))
+    for k, bx in enumerate(fields):
+        state = states[k]
         record = {
             "field_mT": float(bx),
             "quad_g": quadrupole(state.rho_g),
@@ -230,11 +249,9 @@ def _cmd_multipoles(cfg: RunConfig, runner: Runner) -> None:
             "n_m": state.n_m,
             "pl": cfg.rates.recomb * state.n_e,
         }
-        rows.append([record[k] for k in (
-            "field_mT", "quad_g", "quad_e", "dip_g", "dip_e", "n_g", "n_e", "n_m", "pl")])
         data.append(record)
-    cols = ["field_mT", "quad_g", "quad_e", "dip_g", "dip_e", "n_g", "n_e", "n_m", "pl"]
-    runner.emit("multipoles", cols, rows, data)
+    names = ["field_mT", "quad_g", "quad_e", "dip_g", "dip_e", "n_g", "n_e", "n_m", "pl"]
+    runner.emit("multipoles", names, [[d[name] for d in data] for name in names], data)
 
 
 def _cmd_ratecheck(cfg: RunConfig, runner: Runner) -> None:

@@ -62,15 +62,19 @@ def _check_level(level: str) -> None:
         raise ValueError(f"level must be 'g' or 'e', got {level!r}")
 
 
-def build_hamiltonian(level: str, params: CenterParams, bx: float) -> np.ndarray:
-    """H(level, B_x) in MHz: Zeeman along x plus the axial crystal-field term."""
+def build_hamiltonian(level: str, params: CenterParams, bx) -> np.ndarray:
+    """H(level, B_x) in MHz: Zeeman along x plus the axial crystal-field term.
+
+    An array of fields gives the stack of Hamiltonians, shape ``bx.shape + (4, 4)``.
+    """
     _check_level(level)
-    if not np.isfinite(bx):
+    bx = np.asarray(bx, dtype=float)
+    if not np.all(np.isfinite(bx)):
         raise ValueError("bx must be finite")
     ops = make_spin_operators()
     d = params.splitting(level)
     zfs = ops.sz @ ops.sz - 1.25 * np.eye(4)
-    return params.gyro_of(level) * bx * ops.sx + d * zfs
+    return params.gyro_of(level) * bx[..., None, None] * ops.sx + d * zfs
 
 
 def eigensystem(level: str, params: CenterParams, bx: float) -> EigenSystem:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .hamiltonian import CenterParams, build_hamiltonian, eigensystem
 from .spin_algebra import commutator, make_spin_operators, sym_anticommutator
@@ -37,6 +36,11 @@ TWO_PI = 2.0 * np.pi
 UPPER_ROWS, UPPER_COLS = np.triu_indices(4, 1)
 
 NDIM = 33  # 16 (rho_g) + 16 (rho_e) + 1 (N_m)
+
+# Fields per block of a batched sweep.  A block's (SWEEP_BLOCK, 33, 33)
+# generator stack and its (SWEEP_BLOCK, 33, 4, 4) probe images bound the
+# memory of a sweep, whatever the length of its field grid.
+SWEEP_BLOCK = 64
 
 
 class InvalidRates(ValueError):
@@ -132,6 +136,10 @@ class SpinState:
     def total(self) -> float:
         return self.n_g + self.n_e + self.n_m
 
+    def __getitem__(self, k) -> "SpinState":
+        """State ``k`` of a batch of states."""
+        return SpinState(rho_g=self.rho_g[k], rho_e=self.rho_e[k], n_m=self.n_m[k])
+
 
 def hermitian_to_coords(m: np.ndarray) -> np.ndarray:
     """16 real coordinates (diag, Re upper, Im upper) of Hermitian (..., 4, 4)."""
@@ -184,13 +192,16 @@ class GeneratorMatrix:
     bx: float
 
 
-def kinetic_rhs(
-    center: CenterParams, rates: RateParams, bx: float, s: SpinState
-) -> SpinState:
-    """Direct term-by-term evaluation of the kinetic equations at one state or a batch."""
+def kinetic_rhs(center: CenterParams, rates: RateParams, bx, s: SpinState) -> SpinState:
+    """Direct term-by-term evaluation of the kinetic equations at one state or a batch.
+
+    An array of fields ``bx`` adds leading axes: the result has the shape
+    ``bx.shape + batch`` of states.
+    """
     ops = make_spin_operators()
-    h_g = build_hamiltonian("g", center, bx)
-    h_e = build_hamiltonian("e", center, bx)
+    stack = np.shape(bx) + (1,) * (np.ndim(s.rho_g) - 2) + (4, 4)
+    h_g = build_hamiltonian("g", center, bx).reshape(stack)
+    h_e = build_hamiltonian("e", center, bx).reshape(stack)
     eye = np.eye(4, dtype=complex)
     tr_g = np.trace(s.rho_g, axis1=-2, axis2=-1)[..., None, None]
     tr_e = np.trace(s.rho_e, axis1=-2, axis2=-1)[..., None, None]
@@ -216,23 +227,66 @@ def kinetic_rhs(
         + rates.k_e_three * np.trace(ops.p_three_half @ s.rho_e, axis1=-2, axis2=-1).real
         - (rates.k_g_half + rates.k_g_three) * s.n_m
     )
-    return SpinState(rho_g=d_g, rho_e=d_e, n_m=d_m)
+    return SpinState(rho_g=d_g, rho_e=d_e, n_m=np.broadcast_to(d_m, d_g.shape[:-2]))
 
 
 def linear_map_matrix(fn) -> np.ndarray:
     """Real NDIM x NDIM matrix of a linear ``SpinState -> SpinState`` map.
 
-    ``fn`` is applied once, to the batch of all NDIM unit states.  The result is
-    C-contiguous: a Fortran-ordered transpose rounds differently in LAPACK/BLAS.
+    ``fn`` is applied once, to the batch of all NDIM unit states; axes that
+    ``fn`` puts in front of that batch (fields) lead the result as a stack of
+    matrices.  The result is C-contiguous: a Fortran-ordered transpose rounds
+    differently in LAPACK/BLAS.
     """
     images = state_to_coords(fn(coords_to_state(np.eye(NDIM))))
-    return np.ascontiguousarray(images.T)
+    return np.ascontiguousarray(np.swapaxes(images, -1, -2))
+
+
+def generator_stack(center: CenterParams, rates: RateParams, fields) -> np.ndarray:
+    """The (n_b, 33, 33) real generators at every field of a 1-D grid, in one probe."""
+    fields = np.asarray(fields, dtype=float).reshape(-1)
+    return linear_map_matrix(lambda s: kinetic_rhs(center, rates, fields, s))
 
 
 def build_generator(center: CenterParams, rates: RateParams, bx: float) -> GeneratorMatrix:
     """Assemble the 33x33 real generator by probing the kinetics with unit states."""
-    g = linear_map_matrix(lambda s: kinetic_rhs(center, rates, bx, s))
+    g = generator_stack(center, rates, bx)[0]
     return GeneratorMatrix(matrix=g, center=center, rates=rates, bx=bx)
+
+
+def _kernel_coords(g: np.ndarray, fields, null_rtol: float) -> np.ndarray:
+    """Normalized kernel vectors, one row per generator of the (n, 33, 33) stack ``g``.
+
+    The singular values of the whole stack come from one batched SVD; the
+    kernel checks and the least-squares solve are made field by field.
+    """
+    svals = np.linalg.svd(g, compute_uv=False)
+    t_row = trace_functional()
+    b = np.zeros(NDIM + 1)
+    b[-1] = 1.0
+    out = np.empty((len(g), NDIM))
+    for k, (gk, sv, bx) in enumerate(zip(g, svals, fields)):
+        n_null = int(np.sum(sv < null_rtol * max(sv[0], 1e-300)))
+        if n_null == 0:
+            raise DegenerateKernel(
+                f"generator at {bx} mT has no zero mode; not a conservative kinetics"
+            )
+        if n_null > 1 and sv[-2] < 1e3 * max(sv[-1], 1e-300):
+            # Distinguish a genuinely degenerate kernel from very slow (but
+            # nonzero) relaxation modes that fall under the norm-relative cut
+            # when the coherent scale dominates |G|.
+            raise DegenerateKernel(
+                f"kernel dimension {n_null} != 1 at {bx} mT (singular values {sv[-3:]})"
+            )
+        x, *_ = np.linalg.lstsq(np.vstack([gk, t_row]), b, rcond=None)
+        residual = np.linalg.norm(gk @ x)
+        gnorm = np.linalg.norm(gk)
+        if residual > null_rtol * gnorm:
+            raise DegenerateKernel(
+                f"steady-state residual {residual:.3e} vs |G| {gnorm:.3e} at {bx} mT"
+            )
+        out[k] = x / (t_row @ x)
+    return out
 
 
 def steady_state(gen: GeneratorMatrix, null_rtol: float = 1e-9) -> SpinState:
@@ -243,30 +297,25 @@ def steady_state(gen: GeneratorMatrix, null_rtol: float = 1e-9) -> SpinState:
     system.  Raises DegenerateKernel when the kernel is not one-dimensional
     or the residual is out of tolerance.
     """
-    g = gen.matrix
-    gnorm = np.linalg.norm(g)
-    svals = np.linalg.svd(g, compute_uv=False)
-    n_null = int(np.sum(svals < null_rtol * max(svals[0], 1e-300)))
-    if n_null == 0:
-        raise DegenerateKernel("generator has no zero mode; not a conservative kinetics")
-    if n_null > 1 and svals[-2] < 1e3 * max(svals[-1], 1e-300):
-        # Distinguish a genuinely degenerate kernel from very slow (but
-        # nonzero) relaxation modes that fall under the norm-relative cut
-        # when the coherent scale dominates |G|.
-        raise DegenerateKernel(
-            f"kernel dimension {n_null} != 1 (singular values {svals[-3:]})"
-        )
+    return coords_to_state(_kernel_coords(gen.matrix[None], [gen.bx], null_rtol)[0])
 
-    a = np.vstack([g, trace_functional()])
-    b = np.zeros(NDIM + 1)
-    b[-1] = 1.0
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = np.linalg.norm(g @ x)
-    if residual > null_rtol * gnorm:
-        raise DegenerateKernel(f"steady-state residual {residual:.3e} vs |G| {gnorm:.3e}")
 
-    x /= trace_functional() @ x
-    return coords_to_state(x)
+def steady_states(
+    center: CenterParams, rates: RateParams, fields, null_rtol: float = 1e-9
+) -> SpinState:
+    """Steady states over a 1-D field grid, as one batch with a leading field axis.
+
+    Equal, bit for bit, to ``steady_state_at`` field by field.  The grid is
+    processed SWEEP_BLOCK fields at a time: one probe builds a block's
+    generators and one stacked SVD checks their kernels.
+    """
+    fields = np.asarray(fields, dtype=float).reshape(-1)
+    coords = np.empty((fields.size, NDIM))
+    for start in range(0, fields.size, SWEEP_BLOCK):
+        block = fields[start:start + SWEEP_BLOCK]
+        gens = generator_stack(center, rates, block)
+        coords[start:start + block.size] = _kernel_coords(gens, block, null_rtol)
+    return coords_to_state(coords)
 
 
 def time_evolve(gen: GeneratorMatrix, s0: SpinState, t: float) -> SpinState:
@@ -280,6 +329,8 @@ def time_evolve(gen: GeneratorMatrix, s0: SpinState, t: float) -> SpinState:
     # its accurate regime even when 2*pi*D_e*t is huge.
     gnorm = np.linalg.norm(gen.matrix, ord=np.inf)
     n_seg = max(1, int(np.ceil(gnorm * t / 1e4)))
+    import scipy.linalg  # deferred: no CLI subcommand evolves in time
+
     prop = scipy.linalg.expm(gen.matrix * (t / n_seg))
     x = x0
     for _ in range(n_seg):
@@ -297,8 +348,13 @@ def steady_state_at(center: CenterParams, rates: RateParams, bx: float) -> SpinS
     return steady_state(build_generator(center, rates, bx))
 
 
-def level_report(center: CenterParams, rates: RateParams, bx: float) -> dict:
+def level_report(
+    center: CenterParams, rates: RateParams, bx: float, state: SpinState | None = None
+) -> dict:
     """Eigenstate populations and optical brightness of both levels.
+
+    ``state`` is the steady state at bx, e.g. from a ``steady_states`` sweep;
+    it is solved for when not given.
 
     Populations are the diagonal of the steady-state density matrix in the
     eigenbasis of the respective Hamiltonian.  Brightness of a GS eigenstate
@@ -306,7 +362,7 @@ def level_report(center: CenterParams, rates: RateParams, bx: float) -> dict:
     ES eigenstate it is the overlap-weighted pump feeding it,
     sum_i T_eg[j, i] * f_g[i], with T_eg the |<e_j|g_i>|^2 transfer matrix.
     """
-    s = steady_state_at(center, rates, bx)
+    s = steady_state_at(center, rates, bx) if state is None else state
     es_g = eigensystem("g", center, bx)
     es_e = eigensystem("e", center, bx)
     f_g = np.real(np.diag(es_g.vectors.conj().T @ s.rho_g @ es_g.vectors))

@@ -28,10 +28,12 @@ solve of ``mw_response``, with its residual gate and SingularResponse.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -141,12 +143,17 @@ def _first_harmonic(
     return s_plus
 
 
-def _warn_if_nonperturbative(dpl: float) -> None:
-    if abs(dpl) > PERTURBATIVE_LIMIT:
+def _warn_if_nonperturbative(dpl, stacklevel: int = 3) -> None:
+    """One warning per value of ``dpl`` beyond PERTURBATIVE_LIMIT.
+
+    ``stacklevel`` counts from this function: 3 is the caller of its caller.
+    """
+    dpl = np.atleast_1d(dpl)
+    for value in dpl[np.abs(dpl) > PERTURBATIVE_LIMIT]:
         warnings.warn(
-            f"second-order response {dpl:.3f} exceeds {PERTURBATIVE_LIMIT:.0%} of the "
+            f"second-order response {value:.3f} exceeds {PERTURBATIVE_LIMIT:.0%} of the "
             "baseline PL; the quadratic truncation is unreliable here",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -214,6 +221,42 @@ def _pole_first_harmonic(gen: GeneratorMatrix, freqs: np.ndarray, rhs: np.ndarra
     return s_plus
 
 
+def _spectrum_row(
+    center: CenterParams,
+    rates: RateParams,
+    drive: DriveParams,
+    w: np.ndarray,
+    freqs: np.ndarray,
+    bx: float,
+) -> tuple[np.ndarray, float]:
+    """(dPL/PL at every frequency, baseline PL) at one field; ``w`` is the drive map.
+
+    The perturbative-limit warnings point at the caller of the caller.
+    """
+    gen = build_generator(center, rates, bx)
+    s0 = steady_state(gen)
+    baseline = pl_intensity(rates, s0)
+    if drive.b1 == 0:
+        return np.zeros(freqs.size), baseline
+    b1 = complex(drive.b1)
+    rhs = -b1 * (w @ state_to_coords(s0))
+    s_plus = _pole_first_harmonic(gen, freqs, rhs)
+    source = -2.0 * (w @ np.real(np.conj(b1) * s_plus))
+    ds = _second_order_dc(gen, source)
+    dpl = rates.recomb * ds[16:20].sum(axis=0) / baseline
+    _warn_if_nonperturbative(dpl, stacklevel=4)
+    return dpl, baseline
+
+
+def _freq_axis(freq_grid) -> np.ndarray:
+    freqs = np.asarray(freq_grid, dtype=float)
+    if freqs.size == 0:
+        raise ValueError("frequency grid must be nonempty")
+    if np.any(np.diff(freqs) < 0):
+        raise ValueError("frequency grid must be sorted ascending")
+    return freqs
+
+
 def odmr_spectrum(
     center: CenterParams,
     rates: RateParams,
@@ -222,27 +265,9 @@ def odmr_spectrum(
     freq_grid,
 ) -> OdmrResult:
     """dPL/PL over a sorted MW frequency grid at one static field."""
-    freqs = np.asarray(freq_grid, dtype=float)
-    if freqs.size == 0:
-        raise ValueError("frequency grid must be nonempty")
-    if np.any(np.diff(freqs) < 0):
-        raise ValueError("frequency grid must be sorted ascending")
-
-    gen = build_generator(center, rates, bx)
-    s0 = steady_state(gen)
-    baseline = pl_intensity(rates, s0)
-    if drive.b1 == 0:
-        dpl = np.zeros(freqs.size)
-    else:
-        w = drive_superoperator(center, drive)
-        b1 = complex(drive.b1)
-        rhs = -b1 * (w @ state_to_coords(s0))
-        s_plus = _pole_first_harmonic(gen, freqs, rhs)
-        source = -2.0 * (w @ np.real(np.conj(b1) * s_plus))
-        ds = _second_order_dc(gen, source)
-        dpl = rates.recomb * ds[16:20].sum(axis=0) / baseline
-        for value in dpl:
-            _warn_if_nonperturbative(value)
+    freqs = _freq_axis(freq_grid)
+    w = drive_superoperator(center, drive)
+    dpl, baseline = _spectrum_row(center, rates, drive, w, freqs, bx)
     return OdmrResult(
         freqs=freqs,
         fields=np.array([bx]),
@@ -267,16 +292,38 @@ def odmr_map(
     fields = np.asarray(field_grid, dtype=float)
     if fields.size == 0:
         raise ValueError("field grid must be nonempty")
-    row = partial(odmr_spectrum, center, rates, drive=drive, freq_grid=freq_grid)
+    freqs = _freq_axis(freq_grid)
+    row = partial(_spectrum_row, center, rates, drive, drive_superoperator(center, drive), freqs)
     workers = min(jobs, fields.size)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread) as pool:
             rows = list(pool.map(row, fields))
     else:
         rows = [row(b) for b in fields]
-    return OdmrResult(
-        freqs=np.asarray(freq_grid, dtype=float),
-        fields=fields,
-        dpl=np.vstack([r.dpl for r in rows]),
-        baseline=np.concatenate([r.baseline for r in rows]),
-    )
+    dpl, baseline = zip(*rows)
+    return OdmrResult(freqs=freqs, fields=fields, dpl=np.vstack(dpl), baseline=np.array(baseline))
+
+
+def _bundled_openblas(symbol: str):
+    """``symbol`` of the OpenBLAS that numpy bundles, or None when it has none."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("libscipy_openblas*")):
+        fn = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def _single_blas_thread() -> None:
+    """Pool initializer: one BLAS thread in each ``--jobs`` worker.
+
+    Forked workers inherit the parent's OpenBLAS pool, one thread per core, so
+    N workers on 33x33 kernels would run N x cores busy threads.  The count is
+    set through numpy's bundled OpenBLAS; with any other BLAS (no such
+    symbol) this does nothing, and OPENBLAS_NUM_THREADS / OMP_NUM_THREADS set
+    before start-up remain the way to pin it.
+    """
+    set_threads = _bundled_openblas("scipy_openblas_set_num_threads64_")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)

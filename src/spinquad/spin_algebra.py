@@ -10,6 +10,7 @@ reproducible bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -42,8 +43,12 @@ class EigenSystem:
     vectors: np.ndarray   # shape (4, 4), column i belongs to energies[i]
 
 
+@cache
 def make_spin_operators() -> SpinOperators:
-    """Build S_x, S_y, S_z and the doublet projectors in the fixed z-basis."""
+    """S_x, S_y, S_z and the doublet projectors in the fixed z-basis.
+
+    Built once and shared by every caller, so the arrays are read-only.
+    """
     # S+ from the ladder construction: <m+1|S+|m> = sqrt(S(S+1) - m(m+1)).
     sp = np.zeros((4, 4), dtype=complex)
     sp[0, 1] = SQRT3
@@ -55,6 +60,8 @@ def make_spin_operators() -> SpinOperators:
     sz = np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex)
     p_half = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
     p_three_half = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
+    for op in (sx, sy, sz, p_half, p_three_half):
+        op.flags.writeable = False
     return SpinOperators(sx=sx, sy=sy, sz=sz, p_half=p_half, p_three_half=p_three_half)
 
 

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
+from spinquad.cli import SCHEMA_TAG
 from spinquad.hamiltonian import CenterParams, eigensystem, transition_table
 from spinquad.kinetics import (
     NDIM,
@@ -19,6 +20,7 @@ from spinquad.kinetics import (
     build_generator,
     kinetic_rhs,
     steady_state,
+    trace_functional,
 )
 from spinquad.odmr import drive_superoperator, mw_response
 from spinquad.rate_model import rate_model_lines
@@ -80,6 +82,34 @@ def loop_drive_superoperator(center, drive):
         return SpinState(rho_g=d_g, rho_e=d_e, n_m=0.0)
 
     return probe_columns(rhs)
+
+
+def lstsq_steady_coords(g):
+    """Reference for the steady state: the 34x33 least-squares solve of one generator."""
+    t_row = trace_functional()
+    b = np.zeros(NDIM + 1)
+    b[-1] = 1.0
+    x, *_ = np.linalg.lstsq(np.vstack([g, t_row]), b, rcond=None)
+    return x / (t_row @ x)
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, str):
+        return x
+    return format(float(x), ".17g")
+
+
+def loop_csv_text(subcommand, names, rows, meta):
+    """Reference for ``cli.write_csv``: the file text with every value formatted alone."""
+    lines = [f"# {SCHEMA_TAG} {subcommand}"]
+    for key in sorted(meta):
+        lines.append(f"# {key}={meta[key]}")
+    lines.append(",".join(names))
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 class SecularPopulationModel:

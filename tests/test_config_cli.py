@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinquad.cli import main
+from helpers import loop_csv_text
+from spinquad.cli import _jsonable, main, write_csv
 from spinquad.config import ConfigError, load_config, validate_config
 from spinquad.multipoles import model_peak_areas
 
@@ -78,7 +83,7 @@ def test_cli_linalg_error_exit3(tmp_path, monkeypatch):
     def no_convergence(*args):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(cli, "steady_state_at", no_convergence)
+    monkeypatch.setattr(cli, "steady_states", no_convergence)
     assert main(["multipoles", "--out", str(tmp_path), "--set", "sweep.field.steps=1"]) == 3
 
 
@@ -285,3 +290,49 @@ def test_extract_cli_roundtrip(tmp_path, center, rates):
     assert len(result["df_g"]) == 4
     # extract without any input path is a config error
     assert main(["extract", "--out", str(out)]) == 2
+
+
+def test_write_csv_matches_value_loop(tmp_path):
+    rng = np.random.default_rng(31)
+    floats = np.concatenate([
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e22],
+        rng.normal(size=20) * 10.0 ** rng.integers(-30, 30, 20),
+    ])
+    n = floats.size
+    columns = [
+        floats,
+        rng.integers(-(2**62), 2**62, n),
+        rng.integers(0, 2, n).astype(bool),
+        np.array(["g", "e", "xyz"] * (n // 3) + ["g"] * (n % 3)),
+        np.arange(n, dtype=np.uint8),
+    ]
+    names = ["f", "i", "b", "s", "u"]
+    meta = {"version": "0", "field_mT": 0.5, "level": "g"}
+    path = tmp_path / "t.csv"
+    write_csv(path, "test", names, columns, meta)
+    rows = list(zip(*columns))
+    assert path.read_text() == loop_csv_text("test", names, rows, meta)
+    # Python lists are columns too, typed by their values
+    write_csv(path, "test", names[:1], [floats.tolist()], meta)
+    assert path.read_text() == loop_csv_text("test", names[:1], [(v,) for v in floats], meta)
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([[0.1, -0.0, 1e300], [np.pi, -2.5, 7.0]]),
+    np.arange(-3, 3).reshape(2, 3),
+    np.array([True, False, True]),
+    np.array([1 + 2j, 3.0 + 0j, -0.5j]),
+])
+def test_jsonable_arrays_match_element_path(arr):
+    # the element-by-element conversion of the same values is the reference
+    assert json.dumps(_jsonable(arr)) == json.dumps(_jsonable(arr.tolist()))
+    assert json.dumps(_jsonable({"a": arr})) == json.dumps({"a": _jsonable(arr.tolist())})
+
+
+def test_import_cli_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, spinquad.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

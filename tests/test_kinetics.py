@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_rates
-from helpers import loop_generator
+import spinquad.kinetics as kinetics
+from helpers import loop_generator, lstsq_steady_coords
 from spinquad.hamiltonian import CenterParams
 from spinquad.kinetics import (
     NDIM,
@@ -12,6 +13,7 @@ from spinquad.kinetics import (
     SpinState,
     build_generator,
     coords_to_state,
+    generator_stack,
     hermitian_to_coords,
     kinetic_rhs,
     level_report,
@@ -19,6 +21,7 @@ from spinquad.kinetics import (
     state_to_coords,
     steady_state,
     steady_state_at,
+    steady_states,
     time_evolve,
     trace_functional,
 )
@@ -96,6 +99,47 @@ def test_generator_matches_column_loop():
         assert np.array_equal(gen.matrix, ref)
         assert np.array_equal(np.signbit(gen.matrix), np.signbit(ref))
         assert gen.matrix.flags.c_contiguous
+
+
+def test_generator_stack_matches_column_loop():
+    # one probe over a field grid: every slice equals the column-by-column
+    # generator at that field, signs of zeros included
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        center = CenterParams(d_g=float(rng.uniform(5, 100)), d_e=float(rng.uniform(50, 400)),
+                              g_factor=float(rng.uniform(1.5, 2.5)))
+        rates = random_valid_rates(rng)
+        fields = np.concatenate([[0.0, -0.0], rng.uniform(-20, 20, 7)])
+        stack = generator_stack(center, rates, fields)
+        assert stack.shape == (fields.size, NDIM, NDIM) and stack.flags.c_contiguous
+        for g, bx in zip(stack, fields):
+            ref = loop_generator(center, rates, float(bx))
+            assert np.array_equal(g, ref)
+            assert np.array_equal(np.signbit(g), np.signbit(ref))
+
+
+@pytest.mark.parametrize("block", [4, kinetics.SWEEP_BLOCK])
+def test_steady_states_match_per_field(center, block, monkeypatch):
+    # 11 fields: with a block of 4 the last block is partial
+    monkeypatch.setattr(kinetics, "SWEEP_BLOCK", block)
+    rng = np.random.default_rng(23)
+    rates = random_valid_rates(rng)
+    fields = np.concatenate([[0.0], rng.uniform(0, 20, 10)])
+    states = steady_states(center, rates, fields)
+    assert states.rho_g.shape == (fields.size, 4, 4)
+    for k, bx in enumerate(fields):
+        one = steady_state_at(center, rates, float(bx))
+        ref = coords_to_state(lstsq_steady_coords(loop_generator(center, rates, float(bx))))
+        for s in (one, ref):
+            assert np.array_equal(states[k].rho_g, s.rho_g)
+            assert np.array_equal(states[k].rho_e, s.rho_e)
+            assert states[k].n_m == s.n_m
+
+
+def test_steady_states_name_the_degenerate_field(center):
+    r = RateParams(pump=0, recomb=0, gamma_ms=0, eta_g=0, eta_e=0, gamma_g=0, gamma_e=0)
+    with pytest.raises(DegenerateKernel, match="at 0.0 mT"):
+        steady_states(center, r, [0.0])
 
 
 def test_hermiticity_preserved(center, rates):

@@ -1,4 +1,6 @@
+import ctypes
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -348,8 +350,9 @@ def test_map_workers_bounded_by_fields(center, rates, drive, monkeypatch):
     class RecordingPool:
         """Stands in for ProcessPoolExecutor: records the size, starts no process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             requested.append(max_workers)
+            assert initializer is odmr._single_blas_thread
 
         def __enter__(self):
             return self
@@ -367,3 +370,27 @@ def test_map_workers_bounded_by_fields(center, rates, drive, monkeypatch):
     serial = odmr_map(center, rates, drive, freqs, [0.0, 2.0])
     assert requested == [2]
     assert np.array_equal(res.dpl, serial.dpl)
+
+
+def _openblas_threads(_=None):
+    get = odmr._bundled_openblas("scipy_openblas_get_num_threads64_")
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+def test_map_workers_run_one_blas_thread():
+    set_threads = odmr._bundled_openblas("scipy_openblas_set_num_threads64_")
+    if set_threads is None or odmr._bundled_openblas("scipy_openblas_get_num_threads64_") is None:
+        pytest.skip("numpy does not bundle scipy-openblas")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = _openblas_threads()
+    set_threads(2)  # a worker that inherited this pool would report 2
+    try:
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            inherited = list(pool.map(_openblas_threads, range(2)))
+        with ProcessPoolExecutor(max_workers=2, initializer=odmr._single_blas_thread) as pool:
+            pinned = list(pool.map(_openblas_threads, range(2)))
+    finally:
+        set_threads(before)
+    assert inherited == [2, 2]
+    assert pinned == [1, 1]
