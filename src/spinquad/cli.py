@@ -59,30 +59,18 @@ NUMERICAL_ERRORS = (
 _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
 
-def _column_text(column) -> list[str]:
-    """CSV text of every value of a 1-D column, each distinct value formatted once.
-
-    Grid axes repeat their values down a file.  Floats are told apart by
-    their bits, so that -0.0 and 0.0 keep their own text.
-    """
-    column = np.asarray(column)
-    fmt = _CSV_FORMATS[column.dtype.kind]
-    if column.dtype.kind == "f":
-        bits, index = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
-        distinct = bits.view(np.float64)
-    else:
-        distinct, index = np.unique(column, return_inverse=True)
-    text = np.array([fmt % v for v in distinct.tolist()], dtype=object)
-    return text[index].tolist()
-
-
 def write_csv(path: Path, subcommand: str, names: list[str], columns, meta: dict) -> None:
-    """Write equal-length 1-D ``columns`` under the header ``names``."""
+    """Write equal-length 1-D ``columns`` under the header ``names``.
+
+    One row template, built from the column dtypes, formats every row.
+    """
+    columns = [np.asarray(c) for c in columns]
+    template = ",".join(_CSV_FORMATS[c.dtype.kind] for c in columns)
     lines = [f"# {SCHEMA_TAG} {subcommand}"]
     for key in sorted(meta):
         lines.append(f"# {key}={meta[key]}")
     lines.append(",".join(names))
-    lines.extend(map(",".join, zip(*(_column_text(c) for c in columns))))
+    lines.extend(template % row for row in zip(*(c.tolist() for c in columns)))
     path.write_text("\n".join(lines) + "\n")
 
 

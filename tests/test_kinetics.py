@@ -248,21 +248,21 @@ def test_pl_intensity(center, rates):
 
 
 def test_level_report_population_patterns(center, rates):
-    rep0 = level_report(center, rates, 0.0)
+    rep0 = level_report(center, rates, 0.0, steady_state_at(center, rates, 0.0))
     # zero field: +/-1/2 doublet (descending indices 2, 3) preferentially
     # populated in both levels
     for level in ("g", "e"):
         p = rep0[f"populations_{level}"]
         assert min(p[2], p[3]) > max(p[0], p[1])
-    rep_hi = level_report(center, rates, 20.0)
+    rep_hi = level_report(center, rates, 20.0, steady_state_at(center, rates, 20.0))
     pe = rep_hi["populations_e"]
     # far above the ES crossover the +/-3/2_x states (outer indices) dominate
     assert pe[0] > pe[1] and pe[3] > pe[2]
 
 
 def test_level_report_population_sums(center, rates):
-    rep = level_report(center, rates, 5.0)
     s = steady_state_at(center, rates, 5.0)
+    rep = level_report(center, rates, 5.0, s)
     assert rep["populations_g"].sum() == pytest.approx(s.n_g, abs=1e-10)
     assert rep["populations_e"].sum() == pytest.approx(s.n_e, abs=1e-10)
     assert np.all(rep["brightness_g"] >= 0) and np.all(rep["brightness_e"] >= 0)
