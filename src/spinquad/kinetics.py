@@ -189,11 +189,9 @@ def trace_functional() -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Real 33x33 kinetic generator dx/dt = G x plus its construction context."""
+    """Real 33x33 kinetic generator dx/dt = G x at the static field bx."""
 
     matrix: np.ndarray
-    center: CenterParams
-    rates: RateParams
     bx: float
 
 
@@ -256,10 +254,10 @@ def generator_stack(center: CenterParams, rates: RateParams, fields) -> np.ndarr
 def build_generator(center: CenterParams, rates: RateParams, bx: float) -> GeneratorMatrix:
     """Assemble the 33x33 real generator by probing the kinetics with unit states."""
     g = generator_stack(center, rates, bx)[0]
-    return GeneratorMatrix(matrix=g, center=center, rates=rates, bx=bx)
+    return GeneratorMatrix(matrix=g, bx=bx)
 
 
-def _kernel_coords(g: np.ndarray, fields, null_rtol: float) -> np.ndarray:
+def _kernel_coords(g: np.ndarray, fields) -> np.ndarray:
     """Normalized kernel vectors, one row per generator of the (n, 33, 33) stack ``g``.
 
     The singular values of the whole stack come from one batched SVD; the
@@ -271,22 +269,22 @@ def _kernel_coords(g: np.ndarray, fields, null_rtol: float) -> np.ndarray:
     b[-1] = 1.0
     out = np.empty((len(g), NDIM))
     for k, (gk, sv, bx) in enumerate(zip(g, svals, fields)):
-        n_null = int(np.sum(sv < null_rtol * max(sv[0], 1e-300)))
+        n_null = int(np.sum(sv < NULL_RTOL * max(sv[0], 1e-300)))
         if n_null == 0:
             raise DegenerateKernel(
                 f"generator at {bx} mT has no zero mode; not a conservative kinetics"
             )
-        if n_null > 1 and sv[-2] < 1e3 * max(sv[-1], 1e-300):
-            # Distinguish a genuinely degenerate kernel from very slow (but
-            # nonzero) relaxation modes that fall under the norm-relative cut
-            # when the coherent scale dominates |G|.
+        if n_null > 1 and sv[-2] < 1e3 * max(sv[-1], np.finfo(float).eps * sv[0], 1e-300):
+            # Slow (but nonzero) relaxation modes fall under the norm-relative
+            # cut when the coherent scale dominates |G|; a genuine degeneracy
+            # sits at round-off, of sv[-1] or of |G| when sv[-1] is exactly 0.
             raise DegenerateKernel(
                 f"kernel dimension {n_null} != 1 at {bx} mT (singular values {sv[-3:]})"
             )
         x, *_ = np.linalg.lstsq(np.vstack([gk, t_row]), b, rcond=None)
         residual = np.linalg.norm(gk @ x)
         gnorm = np.linalg.norm(gk)
-        if residual > null_rtol * gnorm:
+        if residual > NULL_RTOL * gnorm:
             raise DegenerateKernel(
                 f"steady-state residual {residual:.3e} vs |G| {gnorm:.3e} at {bx} mT"
             )
@@ -294,7 +292,7 @@ def _kernel_coords(g: np.ndarray, fields, null_rtol: float) -> np.ndarray:
     return out
 
 
-def steady_state(gen: GeneratorMatrix, null_rtol: float = NULL_RTOL) -> SpinState:
+def steady_state(gen: GeneratorMatrix) -> SpinState:
     """Normalized kernel vector of the generator.
 
     The structural zero mode (total-population conservation) is fixed by
@@ -302,23 +300,26 @@ def steady_state(gen: GeneratorMatrix, null_rtol: float = NULL_RTOL) -> SpinStat
     system.  Raises DegenerateKernel when the kernel is not one-dimensional
     or the residual is out of tolerance.
     """
-    return coords_to_state(_kernel_coords(gen.matrix[None], [gen.bx], null_rtol)[0])
+    return coords_to_state(_kernel_coords(gen.matrix[None], [gen.bx])[0])
 
 
-def steady_states(center: CenterParams, rates: RateParams, fields) -> SpinState:
-    """Steady states over a 1-D field grid, as one batch with a leading field axis.
+def sweep_blocks(center: CenterParams, rates: RateParams, fields):
+    """Yield each SWEEP_BLOCK-field block's (n, 33, 33) generators and (n, 33) steady states.
 
-    Equal, bit for bit, to ``steady_state_at`` field by field.  The grid is
-    processed SWEEP_BLOCK fields at a time: one probe builds a block's
-    generators and one stacked SVD checks their kernels.
+    One probe builds a block's generators and one stacked SVD checks their
+    kernels; every state equals ``steady_state_at`` at its field, bit for bit.
     """
     fields = np.asarray(fields, dtype=float).reshape(-1)
-    coords = np.empty((fields.size, NDIM))
     for start in range(0, fields.size, SWEEP_BLOCK):
         block = fields[start:start + SWEEP_BLOCK]
         gens = generator_stack(center, rates, block)
-        coords[start:start + block.size] = _kernel_coords(gens, block, NULL_RTOL)
-    return coords_to_state(coords)
+        yield gens, _kernel_coords(gens, block)
+
+
+def steady_states(center: CenterParams, rates: RateParams, fields) -> SpinState:
+    """Steady states over a 1-D field grid, as one batch with a leading field axis."""
+    coords = [x for _, x in sweep_blocks(center, rates, fields)]
+    return coords_to_state(np.concatenate([np.empty((0, NDIM)), *coords]))
 
 
 def time_evolve(gen: GeneratorMatrix, s0: SpinState, t: float) -> SpinState:

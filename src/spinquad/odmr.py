@@ -12,8 +12,11 @@ drive commutator acting on both density-matrix blocks.  The 2w sidebands it
 neglects would feed back only at order |B_1|^4, so the reported dPL/PL scales
 exactly quadratically in the MW amplitude.
 
-A spectrum at one field is computed in pole form.  One eigendecomposition
-G = V diag(lam) V^-1 turns the first-harmonic solves for all frequencies into
+Spectra and maps take each field's G and s0 from the kinetics block sweep
+(``sweep_blocks``); ``odmr_map`` gives each ``--jobs`` worker one contiguous
+block of fields and raises the perturbative-limit warnings itself.  Rows are
+in pole form: one eigendecomposition G = V diag(lam) V^-1 turns the
+first-harmonic solves for all frequencies into
 s+(w) = V diag(1/(lam + i*wt)) V^-1 (-V s0), a sum of 33 complex Lorentzians
 evaluated as one (33, n_f) product, and the DC stage into one least-squares
 solve with the n_f sources as columns.  Each frequency's s+ is accepted only
@@ -50,6 +53,7 @@ from .kinetics import (
     pl_intensity,
     state_to_coords,
     steady_state,
+    sweep_blocks,
     trace_functional,
 )
 from .spin_algebra import make_spin_operators
@@ -112,23 +116,21 @@ def drive_superoperator(center: CenterParams, drive: DriveParams) -> np.ndarray:
     return linear_map_matrix(drive_rhs)
 
 
-def _second_order_dc(gen: GeneratorMatrix, source: np.ndarray) -> np.ndarray:
+def _second_order_dc(g: np.ndarray, source: np.ndarray) -> np.ndarray:
     """Solve G ds = source on the complement of the trace zero mode.
 
     ``source`` is one (33,) vector or a (33, n) block of them as columns.
     """
     t_row = trace_functional()
-    a = np.vstack([gen.matrix, t_row])
+    a = np.vstack([g, t_row])
     b = np.concatenate([source, np.zeros((1,) + source.shape[1:])])
     ds, *_ = np.linalg.lstsq(a, b, rcond=None)
     return ds
 
 
-def _first_harmonic(
-    gen: GeneratorMatrix, omega: float, rhs: np.ndarray, freq: float
-) -> np.ndarray:
+def _first_harmonic(g: np.ndarray, omega: float, rhs: np.ndarray, freq: float) -> np.ndarray:
     """Direct solve of (G + i*omega) s+ = rhs; SingularResponse when it fails."""
-    a_plus = gen.matrix + 1j * omega * np.eye(NDIM)
+    a_plus = g + 1j * omega * np.eye(NDIM)
     try:
         s_plus = np.linalg.solve(a_plus, rhs)
     except np.linalg.LinAlgError as err:
@@ -143,17 +145,14 @@ def _first_harmonic(
     return s_plus
 
 
-def _warn_if_nonperturbative(dpl, stacklevel: int = 3) -> None:
-    """One warning per value of ``dpl`` beyond PERTURBATIVE_LIMIT.
-
-    ``stacklevel`` counts from this function: 3 is the caller of its caller.
-    """
+def _warn_if_nonperturbative(dpl) -> None:
+    """One warning per value of ``dpl`` beyond PERTURBATIVE_LIMIT, at the caller's caller."""
     dpl = np.atleast_1d(dpl)
     for value in dpl[np.abs(dpl) > PERTURBATIVE_LIMIT]:
         warnings.warn(
             f"second-order response {value:.3f} exceeds {PERTURBATIVE_LIMIT:.0%} of the "
             "baseline PL; the quadratic truncation is unreliable here",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
 
 
@@ -187,11 +186,11 @@ def mw_response(
     x0 = state_to_coords(s0)
     v_x0 = drive_op @ x0
     b1 = complex(drive.b1)
-    s_plus = _first_harmonic(gen, TWO_PI * drive.freq, -b1 * v_x0, drive.freq)
+    s_plus = _first_harmonic(gen.matrix, TWO_PI * drive.freq, -b1 * v_x0, drive.freq)
 
     # s- = conj(s+), so the DC source -(V s- + V* s+) is real by construction.
     source = -2.0 * (drive_op @ np.real(np.conj(b1) * s_plus))
-    ds = _second_order_dc(gen, source)
+    ds = _second_order_dc(gen.matrix, source)
     d_state = coords_to_state(ds)
     dpl = rates.recomb * d_state.n_e / baseline
 
@@ -199,52 +198,51 @@ def mw_response(
     return float(dpl), float(baseline)
 
 
-def _pole_first_harmonic(gen: GeneratorMatrix, freqs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _pole_first_harmonic(g: np.ndarray, freqs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """s+ at every frequency as the (33, n_f) columns, from one eigendecomposition."""
     omega = TWO_PI * freqs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam, vec = np.linalg.eig(gen.matrix)
+        lam, vec = np.linalg.eig(g)
         try:
             coef = np.linalg.solve(vec, rhs)
         except np.linalg.LinAlgError:
             coef = np.full(NDIM, np.nan)
         s_plus = vec @ (coef[:, None] / (lam[:, None] + 1j * omega))
-        resid = gen.matrix @ s_plus + 1j * omega * s_plus - rhs[:, None]
-        scale = (np.linalg.norm(gen.matrix, 2) + np.abs(omega)) * np.linalg.norm(
+        resid = g @ s_plus + 1j * omega * s_plus - rhs[:, None]
+        scale = (np.linalg.norm(g, 2) + np.abs(omega)) * np.linalg.norm(
             s_plus, axis=0
         ) + np.linalg.norm(rhs)
         # backward error <= cut-off, written so that NaN and inf fail it and an
         # exact zero response (0/0) passes
         accepted = np.linalg.norm(resid, axis=0) <= POLE_BACKWARD_ERROR * scale
     for k in np.flatnonzero(~accepted):
-        s_plus[:, k] = _first_harmonic(gen, omega[k], rhs, freqs[k])
+        s_plus[:, k] = _first_harmonic(g, omega[k], rhs, freqs[k])
     return s_plus
 
 
-def _spectrum_row(
+def _spectrum_rows(
     center: CenterParams,
     rates: RateParams,
     drive: DriveParams,
     w: np.ndarray,
     freqs: np.ndarray,
-    bx: float,
-) -> tuple[np.ndarray, float]:
-    """(dPL/PL at every frequency, baseline PL) at one field; ``w`` is the drive map.
+    fields: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n_b, n_f) dPL/PL and (n_b,) baseline PL on the block sweep; ``w`` is the drive map.
 
-    The perturbative-limit warnings point at the caller of the caller.
+    No warning is raised here: a ``--jobs`` worker's would never reach the caller.
     """
-    gen = build_generator(center, rates, bx)
-    s0 = steady_state(gen)
-    baseline = pl_intensity(rates, s0)
-    if drive.b1 == 0:
-        return np.zeros(freqs.size), baseline
+    dpl = np.zeros((fields.size, freqs.size))
+    baseline = np.empty(fields.size)
     b1 = complex(drive.b1)
-    rhs = -b1 * (w @ state_to_coords(s0))
-    s_plus = _pole_first_harmonic(gen, freqs, rhs)
-    source = -2.0 * (w @ np.real(np.conj(b1) * s_plus))
-    ds = _second_order_dc(gen, source)
-    dpl = rates.recomb * ds[16:20].sum(axis=0) / baseline
-    _warn_if_nonperturbative(dpl, stacklevel=4)
+    pairs = (p for gens, coords in sweep_blocks(center, rates, fields) for p in zip(gens, coords))
+    for k, (g, x0) in enumerate(pairs):
+        baseline[k] = pl_intensity(rates, coords_to_state(x0))
+        if b1 != 0:
+            s_plus = _pole_first_harmonic(g, freqs, -b1 * (w @ x0))
+            source = -2.0 * (w @ np.real(np.conj(b1) * s_plus))
+            ds = _second_order_dc(g, source)
+            dpl[k] = rates.recomb * ds[16:20].sum(axis=0) / baseline[k]
     return dpl, baseline
 
 
@@ -266,14 +264,12 @@ def odmr_spectrum(
 ) -> OdmrResult:
     """dPL/PL over a sorted MW frequency grid at one static field."""
     freqs = _freq_axis(freq_grid)
-    w = drive_superoperator(center, drive)
-    dpl, baseline = _spectrum_row(center, rates, drive, w, freqs, bx)
-    return OdmrResult(
-        freqs=freqs,
-        fields=np.array([bx]),
-        dpl=dpl[None, :],
-        baseline=np.array([baseline]),
+    fields = np.array([bx])
+    dpl, baseline = _spectrum_rows(
+        center, rates, drive, drive_superoperator(center, drive), freqs, fields
     )
+    _warn_if_nonperturbative(dpl)
+    return OdmrResult(freqs=freqs, fields=fields, dpl=dpl, baseline=baseline)
 
 
 def odmr_map(
@@ -286,22 +282,24 @@ def odmr_map(
 ) -> OdmrResult:
     """dPL/PL over frequency x field; rows are independent computations.
 
-    With ``jobs > 1`` the rows are spread over that many worker processes,
-    at most one per field; the result is bitwise the same as the serial one.
+    With ``jobs > 1`` the grid is cut into min(jobs, n_fields) contiguous
+    blocks, one per worker process; the result is bitwise the same as the
+    serial one, and the perturbative-limit warnings are raised here.
     """
     fields = np.asarray(field_grid, dtype=float)
     if fields.size == 0:
         raise ValueError("field grid must be nonempty")
     freqs = _freq_axis(freq_grid)
-    row = partial(_spectrum_row, center, rates, drive, drive_superoperator(center, drive), freqs)
+    rows = partial(_spectrum_rows, center, rates, drive, drive_superoperator(center, drive), freqs)
     workers = min(jobs, fields.size)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread) as pool:
-            rows = list(pool.map(row, fields))
+            dpl, baseline = zip(*pool.map(rows, np.array_split(fields, workers)))
+        dpl, baseline = np.vstack(dpl), np.concatenate(baseline)
     else:
-        rows = [row(b) for b in fields]
-    dpl, baseline = zip(*rows)
-    return OdmrResult(freqs=freqs, fields=fields, dpl=np.vstack(dpl), baseline=np.array(baseline))
+        dpl, baseline = rows(fields)
+    _warn_if_nonperturbative(dpl)
+    return OdmrResult(freqs=freqs, fields=fields, dpl=dpl, baseline=baseline)
 
 
 def _bundled_openblas(symbol: str):

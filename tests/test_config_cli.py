@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -336,3 +337,26 @@ def test_import_cli_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+SCRIPT_OUTPUTS = {
+    "spectrum": ("spectrum.csv",),
+    "map": ("map.csv",),
+    "multipoles": ("multipoles.csv",),
+    "husimi": ("husimi_g.csv", "husimi_e.csv", "husimi.json"),
+}
+
+
+@pytest.mark.parametrize("script", ["reproduce_spectra.py", "multipole_sweep.py"])
+def test_scripts_write_their_artifacts(script, tmp_path):
+    # the shipped scripts end to end, among them the 41 x 256 map --jobs 2
+    repo = Path(__file__).resolve().parent.parent
+    path = repo / "scripts" / script
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    proc = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    for argv in runpy.run_path(str(path))["RUNS"]:
+        out = tmp_path / argv[argv.index("--out") + 1]
+        for name in SCRIPT_OUTPUTS[argv[0]] + ("manifest.json",):
+            assert (out / name).is_file(), out / name

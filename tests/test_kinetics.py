@@ -138,8 +138,9 @@ def test_steady_states_match_per_field(center, block, monkeypatch):
 
 def test_steady_states_name_the_degenerate_field(center):
     r = RateParams(pump=0, recomb=0, gamma_ms=0, eta_g=0, eta_e=0, gamma_g=0, gamma_e=0)
-    with pytest.raises(DegenerateKernel, match="at 0.0 mT"):
-        steady_states(center, r, [0.0])
+    for bx in (0.0, 0.5, 7.5, 15.0):
+        with pytest.raises(DegenerateKernel, match=f"at {bx} mT"):
+            steady_states(center, r, [bx])
 
 
 def test_hermiticity_preserved(center, rates):
@@ -183,9 +184,12 @@ def test_steady_state_zero_field_block_structure(center, rates, ops):
 
 
 def test_degenerate_kernel_raises(center):
+    # without rates the kernel is 17-dimensional at 0 mT and 9-dimensional in
+    # a field, where the smallest singular value comes out exactly 0.0
     r = RateParams(pump=0, recomb=0, gamma_ms=0, eta_g=0, eta_e=0, gamma_g=0, gamma_e=0)
-    with pytest.raises(DegenerateKernel):
-        steady_state(build_generator(center, r, 0.0))
+    for bx in (0.0, 0.5, 7.5, 15.0):
+        with pytest.raises(DegenerateKernel):
+            steady_state(build_generator(center, r, bx))
 
 
 def test_generator_spectrum_stability(center):

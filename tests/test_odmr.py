@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinquad.kinetics as kinetics
 import spinquad.odmr as odmr
 from helpers import compare_secular_lines, find_features, loop_drive_superoperator
 from spinquad.hamiltonian import CenterParams, transition_table
@@ -155,9 +156,12 @@ def test_spectrum_grid_validation(center, rates, drive):
         odmr_spectrum(center, rates, 0.0, drive, [100.0, 50.0])
 
 
-def test_map_rows_match_individual_spectra(center, rates, drive):
+def test_map_rows_match_individual_spectra(center, rates, drive, monkeypatch):
+    # blocks of 3 over 8 fields: partial blocks in the serial sweep (3+3+2) and
+    # inside each of the two workers (3+1); forked workers inherit the patch
+    monkeypatch.setattr(kinetics, "SWEEP_BLOCK", 3)
     freqs = np.linspace(60.0, 80.0, 11)
-    fields = np.array([0.0, 2.0])
+    fields = np.linspace(0.0, 7.0, 8)
     res = odmr_map(center, rates, drive, freqs, fields)
     for ib, bx in enumerate(fields):
         row = odmr_spectrum(center, rates, float(bx), drive, freqs)
@@ -344,11 +348,32 @@ def test_spectrum_warns_once_per_nonperturbative_frequency(center, rates):
     assert all(w.filename == __file__ for w in hits)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_warnings_reach_the_caller(center, rates, jobs):
+    freqs = np.linspace(60.0, 80.0, 21)
+    fields = [0.0, 0.1, 0.2]
+    drive = DriveParams(b1=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = sum(
+            np.count_nonzero(np.abs(odmr_spectrum(center, rates, bx, drive, freqs).dpl)
+                             > PERTURBATIVE_LIMIT)
+            for bx in fields
+        )
+    assert expected >= len(fields)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        odmr_map(center, rates, drive, freqs, fields, jobs=jobs)
+    hits = [w for w in caught if "second-order response" in str(w.message)]
+    assert len(hits) == expected
+    assert all(w.filename == __file__ for w in hits)
+
+
 def test_map_workers_bounded_by_fields(center, rates, drive, monkeypatch):
     requested = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records the size, starts no process."""
+        """Stands in for ProcessPoolExecutor: records the size and the tasks, starts no process."""
 
         def __init__(self, max_workers, initializer):
             requested.append(max_workers)
@@ -361,15 +386,25 @@ def test_map_workers_bounded_by_fields(center, rates, drive, monkeypatch):
             return False
 
         def map(self, fn, items):
-            return map(fn, items)
+            blocks = list(items)
+            # one task per worker: contiguous blocks that cover the grid in order
+            assert len(blocks) == requested[-1]
+            assert all(block.size > 0 for block in blocks)
+            assert np.array_equal(np.concatenate(blocks), fields)
+            return map(fn, blocks)
 
     monkeypatch.setattr(odmr, "ProcessPoolExecutor", RecordingPool)
     freqs = np.linspace(60.0, 80.0, 5)
-    res = odmr_map(center, rates, drive, freqs, [0.0, 2.0], jobs=10**6)
+    fields = np.array([0.0, 2.0])
+    res = odmr_map(center, rates, drive, freqs, fields, jobs=10**6)
     assert requested == [2]
-    serial = odmr_map(center, rates, drive, freqs, [0.0, 2.0])
+    serial = odmr_map(center, rates, drive, freqs, fields)
     assert requested == [2]
     assert np.array_equal(res.dpl, serial.dpl)
+    fields = np.linspace(0.0, 4.0, 5)
+    res = odmr_map(center, rates, drive, freqs, fields, jobs=2)
+    assert requested == [2, 2]
+    assert np.array_equal(res.dpl, odmr_map(center, rates, drive, freqs, fields).dpl)
 
 
 def _openblas_threads(_=None):
