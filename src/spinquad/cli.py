@@ -1,12 +1,15 @@
 """Command-line front end: run named computations and write CSV/JSON artifacts.
 
-Every subcommand resolves a RunConfig (file + repeatable --set overrides),
-computes with the library, and writes deterministic data files plus a
-manifest.json recording the fully resolved parameters.  Identical resolved
-configs produce byte-identical data files (floats printed with 17 significant
-digits, fixed row order); only the manifest carries the wall time.
+Every subcommand in ``COMMANDS`` (except ``validate``) resolves a RunConfig
+(file + repeatable --set overrides) and computes its CSV tables and one JSON
+document without touching the file system; ``_write_outputs`` alone applies
+``--format``, creates the output directory and writes a manifest.json
+recording the fully resolved parameters.  Identical resolved configs produce
+byte-identical data files (floats printed with 17 significant digits, fixed
+row order); only the manifest carries the wall time.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (an unwritable output
+directory included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,46 +103,40 @@ def _jsonable(obj):
     return obj
 
 
-class Runner:
-    """Collects output files for one subcommand run and writes the manifest."""
+def _write_outputs(subcommand: str, cfg: RunConfig, tables, data, t0: float) -> None:
+    """Apply ``--format`` to a subcommand's tables and JSON document.
 
-    def __init__(self, subcommand: str, cfg: RunConfig, out_dir: Path):
-        self.subcommand = subcommand
-        self.cfg = cfg
-        self.out_dir = out_dir
-        self.outputs: list[str] = []
-        self.t0 = time.monotonic()
+    Each table ``(suffix, names, columns, extra_meta)`` is the CSV file
+    ``<subcommand><suffix>.csv``, written under ``csv``/``both``; the JSON
+    document ``<subcommand>.json`` is written under ``json``/``both``, and
+    always when there is no table.  The output directory is made here, after
+    the computation, and the manifest last.
+    """
+    out_dir = Path(cfg.out_dir)
+    meta = {"version": __version__, "subcommand": subcommand}
+    config = _jsonable(cfg.to_dict())
+    outputs = []
+    try:
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    def meta(self) -> dict:
-        return {"version": __version__, "subcommand": self.subcommand}
-
-    def emit(self, stem: str, names, columns, data_json) -> None:
-        fmt = self.cfg.out_format
-        if fmt in ("csv", "both") and names is not None:
-            p = self.out_dir / f"{stem}.csv"
-            write_csv(p, self.subcommand, names, columns, self.meta())
-            self.outputs.append(p.name)
-        if fmt in ("json", "both") or names is None:
-            p = self.out_dir / f"{stem}.json"
-            meta = {**self.meta(), "config": _jsonable(self.cfg.to_dict())}
-            write_json(p, self.subcommand, meta, _jsonable(data_json))
-            self.outputs.append(p.name)
-
-    def finish(self) -> None:
-        manifest = {
-            "subcommand": self.subcommand,
-            "version": __version__,
-            "wall_time_s": time.monotonic() - self.t0,
-            "config": _jsonable(self.cfg.to_dict()),
-            "outputs": sorted(self.outputs),
-        }
-        (self.out_dir / "manifest.json").write_text(
+        if cfg.out_format in ("csv", "both"):
+            for suffix, names, columns, extra_meta in tables:
+                name = f"{subcommand}{suffix}.csv"
+                write_csv(out_dir / name, subcommand, names, columns, {**meta, **extra_meta})
+                outputs.append(name)
+        if cfg.out_format in ("json", "both") or not tables:
+            write_json(out_dir / f"{subcommand}.json", subcommand, {**meta, "config": config},
+                       _jsonable(data))
+            outputs.append(f"{subcommand}.json")
+        manifest = {**meta, "wall_time_s": time.monotonic() - t0, "config": config,
+                    "outputs": sorted(outputs)}
+        (out_dir / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
+    except OSError as err:
+        raise ConfigError(f"cannot write outputs to {out_dir}: {err}") from err
 
 
-def _cmd_levels(cfg: RunConfig, runner: Runner) -> None:
+def _cmd_levels(cfg: RunConfig, args):
     fields = cfg.field_grid.values()
     states = steady_states(cfg.center, cfg.rates, fields)
     data = []
@@ -158,20 +156,21 @@ def _cmd_levels(cfg: RunConfig, runner: Runner) -> None:
     ):
         names += [f"{prefix}{i}{unit}" for i in range(1, 5)]
         columns += list(np.array([d[key] for d in data]).T)
-    runner.emit("levels", names, columns, data)
+    return [("", names, columns, {})], data
 
 
-def _spectrum_columns(result: OdmrResult) -> list:
+def _spectrum_table(result: OdmrResult) -> tuple:
     n_f = result.freqs.size
-    return [
+    columns = [
         np.tile(result.freqs, result.fields.size),
         np.repeat(result.fields, n_f),
         result.dpl.ravel(),
         np.repeat(result.baseline, n_f),
     ]
+    return "", ["freq_MHz", "field_mT", "dpl", "baseline"], columns, {}
 
 
-def _cmd_spectrum(cfg: RunConfig, runner: Runner) -> None:
+def _cmd_spectrum(cfg: RunConfig, args):
     bx = float(cfg.field_grid.values()[0])
     res = odmr_spectrum(cfg.center, cfg.rates, bx, cfg.drive, cfg.freq_grid.values())
     data = {
@@ -180,24 +179,23 @@ def _cmd_spectrum(cfg: RunConfig, runner: Runner) -> None:
         "dpl": res.dpl[0],
         "baseline": res.baseline[0],
     }
-    runner.emit("spectrum", ["freq_MHz", "field_mT", "dpl", "baseline"],
-                _spectrum_columns(res), data)
+    return [_spectrum_table(res)], data
 
 
-def _cmd_map(cfg: RunConfig, runner: Runner, jobs: int = 1) -> None:
+def _cmd_map(cfg: RunConfig, args):
     res = odmr_map(
         cfg.center, cfg.rates, cfg.drive, cfg.freq_grid.values(), cfg.field_grid.values(),
-        jobs=jobs,
+        jobs=args.jobs,
     )
     data = {"fields_mT": res.fields, "freqs_MHz": res.freqs, "dpl": res.dpl,
             "baseline": res.baseline}
-    runner.emit("map", ["freq_MHz", "field_mT", "dpl", "baseline"], _spectrum_columns(res), data)
+    return [_spectrum_table(res)], data
 
 
-def _cmd_husimi(cfg: RunConfig, runner: Runner) -> None:
+def _cmd_husimi(cfg: RunConfig, args):
     bx = float(cfg.field_grid.values()[0])
     state = steady_state_at(cfg.center, cfg.rates, bx)
-    data = {"field_mT": bx}
+    tables, data = [], {"field_mT": bx}
     for level, rho in (("g", state.rho_g), ("e", state.rho_e)):
         grid = husimi(rho, cfg.husimi_n_theta, cfg.husimi_n_phi)
         data[level] = {
@@ -206,43 +204,27 @@ def _cmd_husimi(cfg: RunConfig, runner: Runner) -> None:
             "values": grid.values,
             "normalization": grid.normalization(),
         }
-        if cfg.out_format in ("csv", "both"):
-            path = runner.out_dir / f"husimi_{level}.csv"
-            columns = [
-                np.repeat(grid.thetas, grid.phis.size),
-                np.tile(grid.phis, grid.thetas.size),
-                grid.values.ravel(),
-            ]
-            write_csv(path, "husimi", ["theta", "phi", "value"],
-                      columns, {**runner.meta(), "field_mT": bx, "level": level})
-            runner.outputs.append(path.name)
-    if cfg.out_format in ("json", "both"):
-        runner.emit("husimi", None, None, data)
+        columns = [
+            np.repeat(grid.thetas, grid.phis.size),
+            np.tile(grid.phis, grid.thetas.size),
+            grid.values.ravel(),
+        ]
+        tables.append((f"_{level}", ["theta", "phi", "value"], columns,
+                       {"field_mT": bx, "level": level}))
+    return tables, data
 
 
-def _cmd_multipoles(cfg: RunConfig, runner: Runner) -> None:
+def _cmd_multipoles(cfg: RunConfig, args):
     fields = cfg.field_grid.values()
-    states = steady_states(cfg.center, cfg.rates, fields)
-    data = []
-    for k, bx in enumerate(fields):
-        state = states[k]
-        record = {
-            "field_mT": float(bx),
-            "quad_g": quadrupole(state.rho_g),
-            "quad_e": quadrupole(state.rho_e),
-            "dip_g": dipole_x(state.rho_g),
-            "dip_e": dipole_x(state.rho_e),
-            "n_g": state.n_g,
-            "n_e": state.n_e,
-            "n_m": state.n_m,
-            "pl": cfg.rates.recomb * state.n_e,
-        }
-        data.append(record)
+    s = steady_states(cfg.center, cfg.rates, fields)
     names = ["field_mT", "quad_g", "quad_e", "dip_g", "dip_e", "n_g", "n_e", "n_m", "pl"]
-    runner.emit("multipoles", names, [[d[name] for d in data] for name in names], data)
+    columns = [fields, quadrupole(s.rho_g), quadrupole(s.rho_e), dipole_x(s.rho_g),
+               dipole_x(s.rho_e), s.n_g, s.n_e, s.n_m, cfg.rates.recomb * s.n_e]
+    data = [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]
+    return [("", names, columns, {})], data
 
 
-def _cmd_ratecheck(cfg: RunConfig, runner: Runner) -> None:
+def _cmd_ratecheck(cfg: RunConfig, args):
     r = cfg.rates
     ratio = r.eta_e / r.eta_g if r.eta_g != 0 else None
     crossover_bg = (
@@ -255,7 +237,7 @@ def _cmd_ratecheck(cfg: RunConfig, runner: Runner) -> None:
         "x_at_crossover_field": small_field_x(cfg.center.gyro * 1.0 / cfg.center.d_g),
         "crossover_bg": crossover_bg,
         "crossover_field_mT": (
-            crossover_bg * cfg.center.d_g / cfg.center.gyro if crossover_bg else None
+            crossover_bg * cfg.center.d_g / cfg.center.gyro if crossover_bg is not None else None
         ),
         "zeeman_threshold_gs_mT": b_g_star,
         "zeeman_threshold_es_mT": b_e_star,
@@ -263,51 +245,46 @@ def _cmd_ratecheck(cfg: RunConfig, runner: Runner) -> None:
         "large_field_signals_at_be_1": large_field_signals(r, 1.0),
         "hierarchy_satisfied": r.in_hierarchy,
     }
-    runner.emit("ratecheck", None, None, report)
+    return [], report
 
 
-def _cmd_extract(cfg: RunConfig, runner: Runner, areas_path: str | None) -> None:
-    path = areas_path or cfg.extract_input
+def _cmd_extract(cfg: RunConfig, args):
+    path = args.areas or cfg.extract_input
     if path is None:
         raise ConfigError("extract needs a peak-area JSON (positional arg or extract.input)")
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"peak-area file not found: {p}")
     try:
         doc = json.loads(p.read_text())
         gs, es, field = peak_areas_from_json(doc)
-    except (json.JSONDecodeError, ValueError) as err:
+    except (OSError, ValueError) as err:
         raise ConfigError(f"{p}: {err}") from err
     res = extract_from_peak_areas(
         gs, es, cfg.center, cfg.rates, field, calibrated=cfg.extract_calibrated
     )
-    report = {
-        "field_mT": field,
-        "calibrated": res.calibrated,
-        "df_g": res.df_g,
-        "df_e": res.df_e,
-        "quad_g": res.quad_g,
-        "quad_e": res.quad_e,
-        "dip_g": res.dip_g,
-        "dip_e": res.dip_e,
-        "residual_g": res.residual_g,
-        "residual_e": res.residual_e,
-    }
-    runner.emit("extract", None, None, report)
+    return [], {"field_mT": field, **asdict(res)}
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    errors, warns = validate_config(cfg)
+def _cmd_validate(cfg: RunConfig, args) -> int:
+    # load_config has already raised on every hard error; the warnings remain
+    _, warns = validate_config(cfg)
     print("resolved configuration:")
     print(json.dumps(_jsonable(cfg.to_dict()), indent=2, sort_keys=True))
     for w in warns:
         print(f"warning: {w}")
-    for e in errors:
-        print(f"error: {e}")
-    if errors:
-        return 2
     print(f"OK ({len(warns)} warning(s))")
     return 0
+
+
+COMMANDS = {
+    "levels": _cmd_levels,
+    "spectrum": _cmd_spectrum,
+    "map": _cmd_map,
+    "husimi": _cmd_husimi,
+    "multipoles": _cmd_multipoles,
+    "ratecheck": _cmd_ratecheck,
+    "extract": _cmd_extract,
+    "validate": _cmd_validate,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,48 +303,27 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=1, help="sweep workers (at least 1)")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("levels", "spectrum", "map", "husimi", "multipoles", "ratecheck", "validate"):
-        sub.add_parser(name, parents=[common])
-    p_ext = sub.add_parser("extract", parents=[common])
-    p_ext.add_argument("areas", nargs="?", default=None, help="peak-area JSON document")
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common])
+        if cmd is _cmd_extract:
+            p.add_argument("areas", nargs="?", default=None, help="peak-area JSON document")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.subcommand]
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = load_config(args.config, args.overrides)
-        if args.out:
-            cfg = _with_output(cfg, out_dir=args.out)
-        elif os.environ.get("SPINQUAD_OUT"):
-            cfg = _with_output(cfg, out_dir=os.environ["SPINQUAD_OUT"])
-        if args.format:
-            cfg = _with_output(cfg, out_format=args.format)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-
-    if args.subcommand == "validate":
-        return _cmd_validate(cfg)
-
-    runner = Runner(args.subcommand, cfg, Path(cfg.out_dir))
-    try:
-        if args.subcommand == "levels":
-            _cmd_levels(cfg, runner)
-        elif args.subcommand == "spectrum":
-            _cmd_spectrum(cfg, runner)
-        elif args.subcommand == "map":
-            _cmd_map(cfg, runner, jobs=args.jobs)
-        elif args.subcommand == "husimi":
-            _cmd_husimi(cfg, runner)
-        elif args.subcommand == "multipoles":
-            _cmd_multipoles(cfg, runner)
-        elif args.subcommand == "ratecheck":
-            _cmd_ratecheck(cfg, runner)
-        elif args.subcommand == "extract":
-            _cmd_extract(cfg, runner, args.areas)
+        cfg = replace(cfg, out_dir=args.out or os.environ.get("SPINQUAD_OUT") or cfg.out_dir,
+                      out_format=args.format or cfg.out_format)
+        if cmd is _cmd_validate:
+            return _cmd_validate(cfg, args)
+        t0 = time.monotonic()
+        tables, data = cmd(cfg, args)
+        _write_outputs(args.subcommand, cfg, tables, data, t0)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -378,19 +334,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    runner.finish()
     return 0
-
-
-def _with_output(cfg: RunConfig, out_dir: str | None = None, out_format: str | None = None):
-    from dataclasses import replace
-
-    kwargs = {}
-    if out_dir is not None:
-        kwargs["out_dir"] = out_dir
-    if out_format is not None:
-        kwargs["out_format"] = out_format
-    return replace(cfg, **kwargs)
 
 
 if __name__ == "__main__":

@@ -131,12 +131,13 @@ class SpinState:
     n_m: float
 
     @property
-    def n_g(self) -> float:
-        return float(np.trace(self.rho_g).real)
+    def n_g(self):
+        """trace(rho_g), one per state of a batch."""
+        return np.trace(self.rho_g, axis1=-2, axis2=-1).real
 
     @property
-    def n_e(self) -> float:
-        return float(np.trace(self.rho_e).real)
+    def n_e(self):
+        return np.trace(self.rho_e, axis1=-2, axis2=-1).real
 
     def total(self) -> float:
         return self.n_g + self.n_e + self.n_m

@@ -54,22 +54,26 @@ class SingularExtraction(RuntimeError):
     """The peak-area design matrix is rank-deficient."""
 
 
-def _trace_average(rho: np.ndarray, op: np.ndarray) -> float:
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-300:
+def _trace_average(rho: np.ndarray, op: np.ndarray):
+    """trace(rho @ op) / trace(rho) over the last two axes of ``rho``."""
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.any(np.abs(tr) < 1e-300):
         raise ZeroTrace("trace(rho) is zero")
-    return float(np.trace(rho @ op).real / tr)
+    return np.trace(rho @ op, axis1=-2, axis2=-1).real / tr
 
 
-def quadrupole(rho: np.ndarray) -> float:
-    """<S_z^2 - 5/4>: +1 for a pure +/-3/2 doublet, -1 for +/-1/2, 0 when mixed."""
+def quadrupole(rho: np.ndarray):
+    """<S_z^2 - 5/4>: +1 for a pure +/-3/2 doublet, -1 for +/-1/2, 0 when mixed.
+
+    ``rho`` is one 4x4 density matrix or a batch (..., 4, 4).
+    """
     ops = make_spin_operators()
     q_op = ops.sz @ ops.sz - 1.25 * np.eye(4)
     return _trace_average(rho, q_op)
 
 
-def dipole_x(rho: np.ndarray) -> float:
-    """<S_x>, in [-3/2, 3/2]."""
+def dipole_x(rho: np.ndarray):
+    """<S_x>, in [-3/2, 3/2]; batched like :func:`quadrupole`."""
     return _trace_average(rho, make_spin_operators().sx)
 
 
@@ -300,24 +304,38 @@ def extract_from_peak_areas(
     )
 
 
-def peak_areas_from_json(doc: dict) -> tuple[PeakAreaSet, PeakAreaSet, float]:
+def peak_areas_from_json(doc) -> tuple[PeakAreaSet, PeakAreaSet, float]:
     """Parse the wire format {"field_mT": x, "gs": {"1-2": a, ...}, "es": {...}}.
 
     Wire transition keys are 1-based state pairs; they map to the 0-based
-    indices used everywhere else.
+    indices used everywhere else.  A malformed document raises ValueError.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("peak-area document must be an object")
     try:
-        field = float(doc["field_mT"])
+        field = _finite("field_mT", doc["field_mT"])
         gs_doc = doc["gs"]
         es_doc = doc["es"]
     except KeyError as err:
         raise ValueError(f"peak-area document missing key {err}") from None
 
-    def parse(level: str, block: dict) -> PeakAreaSet:
+    def parse(level: str, block) -> PeakAreaSet:
+        if not isinstance(block, dict):
+            raise ValueError(f"peak-area block '{level}s' must be an object")
         areas = {}
         for key, val in block.items():
             i_str, j_str = key.split("-")
-            areas[(int(i_str) - 1, int(j_str) - 1)] = float(val)
+            areas[(int(i_str) - 1, int(j_str) - 1)] = _finite(f"area {key}", val)
         return PeakAreaSet(level=level, areas=areas, field=field)
 
     return parse("g", gs_doc), parse("e", es_doc), field
+
+
+def _finite(name: str, value) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = np.nan
+    if not np.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return x

@@ -113,6 +113,7 @@ def test_cli_numerical_failure_exit3(tmp_path):
         "--set", "sweep.freq.steps=2", "--set", "sweep.field.steps=1",
     ])
     assert code == 3
+    assert not (tmp_path / "o").exists()
 
 
 def _small_spectrum_args(out):
@@ -236,7 +237,7 @@ def test_multipoles_output(tmp_path):
     assert b4[2] > 0                        # ES quadrupole flipped by 4 mT
 
 
-def test_ratecheck_output(tmp_path):
+def test_ratecheck_output(tmp_path, capsys):
     out = tmp_path / "rc"
     assert main(["ratecheck", "--out", str(out)]) == 0
     doc = json.loads((out / "ratecheck.json").read_text())
@@ -245,6 +246,14 @@ def test_ratecheck_output(tmp_path):
     assert data["eta_ratio"] == pytest.approx(0.7)
     assert data["crossover_bg"] == pytest.approx(0.676, abs=1e-3)
     assert data["hierarchy_satisfied"] is True
+    # eta_e == eta_g: the crossover sits at zero field, reported as 0, not null
+    assert main(["ratecheck", "--out", str(out), "--set", "rates.eta_e=0.5"]) == 0
+    data = json.loads((out / "ratecheck.json").read_text())["data"]
+    assert data["crossover_bg"] == 0.0 and data["crossover_field_mT"] == 0.0
+    # an output directory that cannot be made is a config error
+    (tmp_path / "afile").write_text("x")
+    assert main(["ratecheck", "--out", str(tmp_path / "afile")]) == 2
+    assert "cannot write outputs to" in capsys.readouterr().err
 
 
 def test_manifest_lists_every_parameter(tmp_path):
@@ -289,8 +298,50 @@ def test_extract_cli_roundtrip(tmp_path, center, rates):
     result = json.loads((out / "extract.json").read_text())["data"]
     assert result["residual_g"] < 1e-9
     assert len(result["df_g"]) == 4
-    # extract without any input path is a config error
+    # extract without any input path is a config error, and so is a malformed file
     assert main(["extract", "--out", str(out)]) == 2
+    areas_path.write_text(json.dumps({**doc, "gs": {**doc["gs"], "1-2": None}}))
+    assert main(["extract", str(areas_path), "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()
+
+
+FORMAT_OUTPUTS = {
+    # subcommand: (CSV files, JSON file); the JSON is written under csv only
+    # when the subcommand has no CSV table
+    "levels": (("levels.csv",), "levels.json"),
+    "spectrum": (("spectrum.csv",), "spectrum.json"),
+    "map": (("map.csv",), "map.json"),
+    "husimi": (("husimi_g.csv", "husimi_e.csv"), "husimi.json"),
+    "multipoles": (("multipoles.csv",), "multipoles.json"),
+    "ratecheck": ((), "ratecheck.json"),
+    "extract": ((), "extract.json"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+@pytest.mark.parametrize("subcommand", sorted(FORMAT_OUTPUTS))
+def test_format_writes_the_promised_files(subcommand, fmt, tmp_path, center, rates):
+    gs, es = model_peak_areas(center, rates, 7.0)
+    areas = tmp_path / "areas.json"
+    areas.write_text(json.dumps({
+        "field_mT": 7.0,
+        "gs": {f"{i+1}-{j+1}": a for (i, j), a in gs.areas.items()},
+        "es": {f"{i+1}-{j+1}": a for (i, j), a in es.areas.items()},
+    }))
+    out = tmp_path / "o"
+    argv = [subcommand, "--out", str(out), "--format", fmt,
+            "--set", "sweep.field.min=1", "--set", "sweep.field.max=3",
+            "--set", "sweep.field.steps=2", "--set", "sweep.freq.min=60",
+            "--set", "sweep.freq.max=80", "--set", "sweep.freq.steps=3",
+            "--set", "husimi.n_theta=3", "--set", "husimi.n_phi=4"]
+    assert main(argv + ([str(areas)] if subcommand == "extract" else [])) == 0
+    csvs, json_name = FORMAT_OUTPUTS[subcommand]
+    promised = set(csvs) if fmt != "json" else set()
+    if fmt != "csv" or not csvs:
+        promised.add(json_name)
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs == sorted(promised)
+    assert {p.name for p in out.iterdir()} == promised | {"manifest.json"}
 
 
 def test_write_csv_matches_value_loop(tmp_path):

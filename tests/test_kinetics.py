@@ -134,6 +134,17 @@ def test_steady_states_match_per_field(center, block, monkeypatch):
             assert np.array_equal(states[k].rho_g, s.rho_g)
             assert np.array_equal(states[k].rho_e, s.rho_e)
             assert states[k].n_m == s.n_m
+    # the batched multipoles and level populations are the per-field values
+    for batch, one in (
+        (quadrupole(states.rho_g), lambda s: quadrupole(s.rho_g)),
+        (quadrupole(states.rho_e), lambda s: quadrupole(s.rho_e)),
+        (dipole_x(states.rho_g), lambda s: dipole_x(s.rho_g)),
+        (dipole_x(states.rho_e), lambda s: dipole_x(s.rho_e)),
+        (states.n_g, lambda s: s.n_g),
+        (states.n_e, lambda s: s.n_e),
+    ):
+        assert batch.shape == fields.shape
+        assert np.array_equal(batch, [one(states[k]) for k in range(fields.size)])
 
 
 def test_steady_states_name_the_degenerate_field(center):

@@ -231,5 +231,16 @@ def test_peak_areas_wire_format():
     assert field == 10.0
     assert gs.areas[(0, 1)] == 0.5 and gs.areas[(2, 3)] == 0.125
     assert es.areas[(0, 3)] == -0.5 and es.areas[(1, 2)] == -0.75
-    with pytest.raises(ValueError):
-        peak_areas_from_json({"gs": {}, "es": {}})
+    malformed = [
+        {"gs": {}, "es": {}},
+        [1],
+        {"field_mT": 3, "gs": [1, 2], "es": {}},
+        {**doc, "field_mT": float("nan")},
+        {**doc, "field_mT": "ten"},
+        {**doc, "gs": {**doc["gs"], "1-2": {}}},
+        {**doc, "es": {**doc["es"], "2-3": float("nan")}},
+        {**doc, "es": {**doc["es"], "1-4": float("inf")}},
+    ]
+    for bad in malformed:
+        with pytest.raises(ValueError):
+            peak_areas_from_json(bad)
