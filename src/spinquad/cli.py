@@ -9,7 +9,7 @@ byte-identical data files (floats printed with 17 significant digits, fixed
 row order); only the manifest carries the wall time.
 
 Exit codes: 0 success, 2 configuration error (an unwritable output
-directory included), 3 numerical failure.
+directory included), 3 numerical failure (running out of memory included).
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ NUMERICAL_ERRORS = (
     SingularExtraction,
     NotHermitian,
     np.linalg.LinAlgError,
+    MemoryError,
 )
 
 

@@ -1,19 +1,23 @@
 """Run configuration: strict JSON loading, overrides, and validation.
 
-The configuration is a JSON tree with the fixed sections below; unknown keys
-are rejected so typos fail loudly instead of silently running defaults.
+``RunConfig`` is the one definition of the configuration tree: ``to_dict``
+builds each section from the parameter dataclasses, and its defaults,
+without the derived ``center.gyro`` and ``center.gyro_e``, are the settable
+schema.  A config file and ``--set`` overrides are laid over that defaults
+tree; a key it lacks, or a non-object where it holds an object, is rejected
+so typos fail loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .hamiltonian import CenterParams
-from .kinetics import InvalidRates, RateParams
+from .kinetics import RateParams
 from .odmr import DriveParams
 
 
@@ -54,107 +58,65 @@ class RunConfig:
     out_format: str = "csv"
 
     def to_dict(self) -> dict:
-        drive_b1 = self.drive.b1
-        if isinstance(drive_b1, complex) and drive_b1.imag == 0:
-            drive_b1 = drive_b1.real
+        drive = asdict(self.drive)
+        if isinstance(drive["b1"], complex) and drive["b1"].imag == 0:
+            drive["b1"] = drive["b1"].real
         return {
-            "center": {
-                "d_g": self.center.d_g,
-                "d_e": self.center.d_e,
-                "g_factor": self.center.g_factor,
-                "g_factor_e": self.center.g_factor_e,
-                "gyro": self.center.gyro,
-                "gyro_e": self.center.gyro_of("e"),
-            },
-            "rates": {
-                "pump": self.rates.pump,
-                "recomb": self.rates.recomb,
-                "gamma_ms": self.rates.gamma_ms,
-                "eta_g": self.rates.eta_g,
-                "eta_e": self.rates.eta_e,
-                "gamma_g": self.rates.gamma_g,
-                "gamma_e": self.rates.gamma_e,
-            },
-            "drive": {"b1": drive_b1, "axis": self.drive.axis, "freq": self.drive.freq},
-            "sweep": {
-                "field": {"min": self.field_grid.min, "max": self.field_grid.max,
-                          "steps": self.field_grid.steps},
-                "freq": {"min": self.freq_grid.min, "max": self.freq_grid.max,
-                         "steps": self.freq_grid.steps},
-            },
+            "center": {**asdict(self.center), "gyro_e": self.center.gyro_of("e")},
+            "rates": asdict(self.rates),
+            "drive": drive,
+            "sweep": {"field": asdict(self.field_grid), "freq": asdict(self.freq_grid)},
             "husimi": {"n_theta": self.husimi_n_theta, "n_phi": self.husimi_n_phi},
             "extract": {"input": self.extract_input, "calibrated": self.extract_calibrated},
             "output": {"dir": self.out_dir, "format": self.out_format},
         }
 
 
-_SCHEMA = {
-    "center": {"d_g", "d_e", "g_factor", "g_factor_e"},
-    "rates": {"pump", "recomb", "gamma_ms", "eta_g", "eta_e", "gamma_g", "gamma_e"},
-    "drive": {"b1", "axis", "freq"},
-    "sweep": {"field", "freq"},
-    "husimi": {"n_theta", "n_phi"},
-    "extract": {"input", "calibrated"},
-    "output": {"dir", "format"},
-}
-_GRID_KEYS = {"min", "max", "steps"}
+def default_tree() -> dict:
+    """The settable schema: the default ``to_dict()`` without the derived gyros."""
+    tree = RunConfig().to_dict()
+    del tree["center"]["gyro"], tree["center"]["gyro_e"]
+    return tree
 
 
-def _check_keys(section: str, block: dict, allowed: set) -> None:
-    unknown = set(block) - allowed
+def _overlay(defaults: dict, given: dict, section: str = "") -> dict:
+    """``given`` laid over ``defaults``, which fix the keys and the objects."""
+    unknown = set(given) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{section}'")
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{section or '<top>'}'")
+    merged = {**defaults, **given}
+    for key, default in defaults.items():
+        if key in given and isinstance(default, dict):
+            name = f"{section}.{key}" if section else key
+            if not isinstance(given[key], dict):
+                raise ConfigError(f"{name} must be an object" if section
+                                  else f"section '{key}' must be an object")
+            merged[key] = _overlay(default, given[key], name)
+    return merged
+
+
+def _grid(block: dict) -> SweepGrid:
+    return SweepGrid(float(block["min"]), float(block["max"]), int(block["steps"]))
 
 
 def _build(tree: dict) -> RunConfig:
-    _check_keys("<top>", tree, set(_SCHEMA))
-    for section, allowed in _SCHEMA.items():
-        block = tree.get(section, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"section '{section}' must be an object")
-        _check_keys(section, block, allowed)
-    sweep = tree.get("sweep", {})
-    for gname, gblock in sweep.items():
-        if not isinstance(gblock, dict):
-            raise ConfigError(f"sweep.{gname} must be an object")
-        _check_keys(f"sweep.{gname}", gblock, _GRID_KEYS)
-
+    t = _overlay(default_tree(), tree)
+    b1, hus, ext, out = t["drive"]["b1"], t["husimi"], t["extract"], t["output"]
     try:
-        center = CenterParams(**tree.get("center", {}))
-        rates = RateParams(**tree.get("rates", {}))
-        drv = dict(tree.get("drive", {}))
-        if "b1" in drv and isinstance(drv["b1"], str):
-            drv["b1"] = complex(drv["b1"])
-        drive = DriveParams(**drv)
-        defaults = RunConfig()
-        f_def, q_def = defaults.field_grid, defaults.freq_grid
-        fg = sweep.get("field", {})
-        qg = sweep.get("freq", {})
-        field_grid = SweepGrid(
-            float(fg.get("min", f_def.min)), float(fg.get("max", f_def.max)),
-            int(fg.get("steps", f_def.steps)),
-        )
-        freq_grid = SweepGrid(
-            float(qg.get("min", q_def.min)), float(qg.get("max", q_def.max)),
-            int(qg.get("steps", q_def.steps)),
-        )
-        hus = tree.get("husimi", {})
-        ext = tree.get("extract", {})
-        out = tree.get("output", {})
         return RunConfig(
-            center=center,
-            rates=rates,
-            drive=drive,
-            field_grid=field_grid,
-            freq_grid=freq_grid,
-            husimi_n_theta=int(hus.get("n_theta", 91)),
-            husimi_n_phi=int(hus.get("n_phi", 181)),
-            extract_input=ext.get("input"),
-            extract_calibrated=bool(ext.get("calibrated", False)),
-            out_dir=str(out.get("dir", "out")),
-            out_format=str(out.get("format", "csv")),
+            center=CenterParams(**t["center"]),
+            rates=RateParams(**t["rates"]),
+            drive=DriveParams(**{**t["drive"], "b1": complex(b1) if isinstance(b1, str) else b1}),
+            field_grid=_grid(t["sweep"]["field"]),
+            freq_grid=_grid(t["sweep"]["freq"]),
+            husimi_n_theta=int(hus["n_theta"]),
+            husimi_n_phi=int(hus["n_phi"]),
+            extract_input=None if ext["input"] is None else str(ext["input"]),
+            extract_calibrated=bool(ext["calibrated"]),
+            out_dir=str(out["dir"]),
+            out_format=str(out["format"]),
         )
-    except (TypeError, ValueError, InvalidRates) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(str(err)) from err
 
 

@@ -153,6 +153,10 @@ class PeakAreaSet:
 
     def __post_init__(self):
         keys = {(min(i, j), max(i, j)) for i, j in self.areas}
+        if len(keys) < len(self.areas):
+            raise ValueError(
+                f"{self.level.upper()} areas name a transition twice, got {sorted(self.areas)}"
+            )
         expected = set(GS_TRANSITIONS) if self.level == "g" else set(ES_OBSERVED)
         if keys != expected:
             raise ValueError(

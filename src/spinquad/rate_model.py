@@ -35,19 +35,15 @@ class IllConditioned(RuntimeError):
 
 @dataclass(frozen=True)
 class TransferMatrices:
-    """|U|^2 transfer matrices between eigenbases, plus the unitaries.
+    """|U|^2 transfer matrices between eigenbases.
 
-    u_g0[i, j] = <g_i(B)|g_j(0)>, u_e0 likewise for the ES, and
-    u_eg[i, j] = <e_i(B)|g_j(B)>.  Each T is doubly stochastic.
+    t_g0[i, j] = |<g_i(B)|g_j(0)>|^2, t_e0 likewise for the ES, and
+    t_eg[i, j] = |<e_i(B)|g_j(B)>|^2.  Each T is doubly stochastic.
     """
 
     t_g0: np.ndarray
     t_e0: np.ndarray
     t_eg: np.ndarray
-    u_g0: np.ndarray
-    u_e0: np.ndarray
-    u_eg: np.ndarray
-    bx: float = 0.0
 
     @property
     def t_ge(self) -> np.ndarray:
@@ -77,17 +73,10 @@ def transfer_matrices(center: CenterParams, bx: float) -> TransferMatrices:
     v_e = eigensystem("e", center, bx).vectors
     v_g0 = eigensystem("g", center, 0.0).vectors
     v_e0 = eigensystem("e", center, 0.0).vectors
-    u_g0 = v_g.conj().T @ v_g0
-    u_e0 = v_e.conj().T @ v_e0
-    u_eg = v_e.conj().T @ v_g
     return TransferMatrices(
-        t_g0=np.abs(u_g0) ** 2,
-        t_e0=np.abs(u_e0) ** 2,
-        t_eg=np.abs(u_eg) ** 2,
-        u_g0=u_g0,
-        u_e0=u_e0,
-        u_eg=u_eg,
-        bx=bx,
+        t_g0=np.abs(v_g.conj().T @ v_g0) ** 2,
+        t_e0=np.abs(v_e.conj().T @ v_e0) ** 2,
+        t_eg=np.abs(v_e.conj().T @ v_g) ** 2,
     )
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import loop_csv_text
 from spinquad.cli import _jsonable, main, write_csv
-from spinquad.config import ConfigError, load_config, validate_config
+from spinquad.config import ConfigError, default_tree, load_config, validate_config
 from spinquad.multipoles import model_peak_areas
 
 
@@ -49,6 +49,44 @@ def test_config_error_cases(tmp_path):
         load_config(None, ["sweep.field.min=5", "sweep.field.max=1"])
     with pytest.raises(ConfigError):
         load_config(None, ["noequalsign"])
+
+
+@pytest.mark.parametrize("overrides", [
+    [],
+    ["center.d_g=35", "rates.pump=2", "sweep.field.steps=5", "husimi.n_theta=7"],
+    ['drive.b1="0.01+0.002j"', "drive.axis=x", "drive.freq=70"],
+    ["center.g_factor_e=2.1", "rates.eta_e=0.4"],
+    ["sweep.field.min=2", "sweep.field.max=9", "sweep.field.steps=8"],
+    ["sweep.freq.min=60", "sweep.freq.max=80.5", "sweep.freq.steps=1"],
+    ["extract.input=areas.json", "extract.calibrated=true", "output.dir=o",
+     "output.format=both", "husimi.n_phi=9"],
+])
+def test_config_round_trip(overrides, tmp_path):
+    # the written resolved tree, less the derived gyros, loads back to cfg
+    cfg = load_config(None, overrides)
+    tree = cfg.to_dict()
+    del tree["center"]["gyro"], tree["center"]["gyro_e"]
+    path = tmp_path / "resolved.json"
+    path.write_text(json.dumps(tree, default=str))  # complex b1 as "(re+imj)"
+    assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("override, message", [
+    ("sweep.field.stepz=3", "unknown key(s) ['stepz'] in section 'sweep.field'"),
+    ("sweep.field=3", "sweep.field must be an object"),
+    ("husimi=3", "section 'husimi' must be an object"),
+    ("center.gyro=1", "unknown key(s) ['gyro'] in section 'center'"),
+    ("center.gyro_e=1", "unknown key(s) ['gyro_e'] in section 'center'"),
+])
+def test_schema_errors_exit2(override, message, capsys):
+    assert main(["validate", "--set", override]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == default_tree()
 
 
 def test_validate_defaults_clean():
@@ -283,14 +321,17 @@ def test_validate_from_config_file(tmp_path, capsys):
     assert "warning" in out and "hierarchy" in out
 
 
-def test_extract_cli_roundtrip(tmp_path, center, rates):
-    bx = 10.0
+def _model_areas_doc(center, rates, bx):
     gs, es = model_peak_areas(center, rates, bx)
-    doc = {
+    return {
         "field_mT": bx,
-        "gs": {f"{i+1}-{j+1}": gs.areas[(i, j)] for i, j in gs.areas},
-        "es": {f"{i+1}-{j+1}": es.areas[(i, j)] for i, j in es.areas},
+        "gs": {f"{i+1}-{j+1}": a for (i, j), a in gs.areas.items()},
+        "es": {f"{i+1}-{j+1}": a for (i, j), a in es.areas.items()},
     }
+
+
+def test_extract_cli_roundtrip(tmp_path, center, rates):
+    doc = _model_areas_doc(center, rates, 10.0)
     areas_path = tmp_path / "areas.json"
     areas_path.write_text(json.dumps(doc))
     out = tmp_path / "ex"
@@ -298,11 +339,35 @@ def test_extract_cli_roundtrip(tmp_path, center, rates):
     result = json.loads((out / "extract.json").read_text())["data"]
     assert result["residual_g"] < 1e-9
     assert len(result["df_g"]) == 4
-    # extract without any input path is a config error, and so is a malformed file
+    # extract without any input path is a config error, and so is a malformed
+    # file, a transition named twice ("1-2" and "2-1") included
     assert main(["extract", "--out", str(out)]) == 2
-    areas_path.write_text(json.dumps({**doc, "gs": {**doc["gs"], "1-2": None}}))
-    assert main(["extract", str(areas_path), "--out", str(tmp_path / "bad")]) == 2
-    assert not (tmp_path / "bad").exists()
+    for bad_gs in ({**doc["gs"], "1-2": None}, {**doc["gs"], "2-1": 2.0}):
+        areas_path.write_text(json.dumps({**doc, "gs": bad_gs}))
+        assert main(["extract", str(areas_path), "--out", str(tmp_path / "bad")]) == 2
+        assert not (tmp_path / "bad").exists()
+
+
+def test_extract_input_is_coerced_to_string(tmp_path, center, rates, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "7").write_text(json.dumps(_model_areas_doc(center, rates, 7.0)))
+    assert main(["extract", "--out", "a", "--set", "extract.input=7"]) == 0
+    assert load_config(None, ["extract.input=7"]).extract_input == "7"
+    assert main(["extract", "--out", "b", "--set", "extract.input=[1,2]"]) == 2
+    assert not (tmp_path / "b").exists()
+
+
+def test_cli_memory_error_exit3(tmp_path, monkeypatch, capsys):
+    import spinquad.cli as cli
+
+    def out_of_memory(*args):
+        raise MemoryError("cannot allocate the Husimi grid")
+
+    monkeypatch.setattr(cli, "husimi", out_of_memory)
+    out = tmp_path / "o"
+    assert main(["husimi", "--out", str(out), "--set", "sweep.field.steps=1"]) == 3
+    assert "MemoryError: cannot allocate the Husimi grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 FORMAT_OUTPUTS = {
@@ -321,13 +386,8 @@ FORMAT_OUTPUTS = {
 @pytest.mark.parametrize("fmt", ["csv", "json", "both"])
 @pytest.mark.parametrize("subcommand", sorted(FORMAT_OUTPUTS))
 def test_format_writes_the_promised_files(subcommand, fmt, tmp_path, center, rates):
-    gs, es = model_peak_areas(center, rates, 7.0)
     areas = tmp_path / "areas.json"
-    areas.write_text(json.dumps({
-        "field_mT": 7.0,
-        "gs": {f"{i+1}-{j+1}": a for (i, j), a in gs.areas.items()},
-        "es": {f"{i+1}-{j+1}": a for (i, j), a in es.areas.items()},
-    }))
+    areas.write_text(json.dumps(_model_areas_doc(center, rates, 7.0)))
     out = tmp_path / "o"
     argv = [subcommand, "--out", str(out), "--format", fmt,
             "--set", "sweep.field.min=1", "--set", "sweep.field.max=3",

@@ -150,6 +150,9 @@ def test_peak_area_set_validation():
         PeakAreaSet(level="g", areas={(0, 1): 1.0}, field=5.0)
     with pytest.raises(ValueError):
         PeakAreaSet(level="e", areas={(0, 1): 1.0, (1, 2): 2.0}, field=5.0)
+    with pytest.raises(ValueError, match="twice"):  # (1, 0) is (0, 1) again
+        PeakAreaSet(level="g", areas={(0, 1): 1.0, (1, 0): 2.0, (1, 2): 1.0, (2, 3): 1.0},
+                    field=5.0)
 
 
 def test_extraction_roundtrip_gs(center, rates):
@@ -240,6 +243,7 @@ def test_peak_areas_wire_format():
         {**doc, "gs": {**doc["gs"], "1-2": {}}},
         {**doc, "es": {**doc["es"], "2-3": float("nan")}},
         {**doc, "es": {**doc["es"], "1-4": float("inf")}},
+        {**doc, "gs": {**doc["gs"], "2-1": 2.0}},
     ]
     for bad in malformed:
         with pytest.raises(ValueError):

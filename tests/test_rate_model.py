@@ -82,7 +82,7 @@ def test_es_quadrupole_sign_vs_field(center, rates):
 def test_ill_conditioned_raises():
     r = RateParams(gamma_ms=0.0, gamma_g=0.0, gamma_e=0.0)  # kappa = 1 exactly
     eye = np.eye(4)
-    tm = TransferMatrices(t_g0=eye, t_e0=eye, t_eg=eye, u_g0=eye, u_e0=eye, u_eg=eye)
+    tm = TransferMatrices(t_g0=eye, t_e0=eye, t_eg=eye)
     with pytest.raises(IllConditioned):
         solve_population_variations(r, tm, 0.1)
 
