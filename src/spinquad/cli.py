@@ -5,8 +5,9 @@ Every subcommand in ``COMMANDS`` (except ``validate``) resolves a RunConfig
 document without touching the file system; ``_write_outputs`` alone applies
 ``--format``, creates the output directory and writes a manifest.json
 recording the fully resolved parameters.  Identical resolved configs produce
-byte-identical data files (floats printed with 17 significant digits, fixed
-row order); only the manifest carries the wall time.
+byte-identical data files (CSV floats with 17 significant digits, JSON as
+``json.dumps(indent=2, sort_keys=True)``, fixed row order); only the manifest
+carries the wall time.
 
 Exit codes: 0 success, 2 configuration error (an unwritable output
 directory included), 3 numerical failure (running out of memory included).
@@ -20,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -67,21 +69,41 @@ _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 def write_csv(path: Path, subcommand: str, names: list[str], columns, meta: dict) -> None:
     """Write equal-length 1-D ``columns`` under the header ``names``.
 
-    One row template, built from the column dtypes, formats every row.
+    Each column's distinct values (floats by bit pattern, so -0.0 keeps its
+    sign) are formatted once; the text is joined once, final newline included.
     """
-    columns = [np.asarray(c) for c in columns]
-    template = ",".join(_CSV_FORMATS[c.dtype.kind] for c in columns)
-    lines = [f"# {SCHEMA_TAG} {subcommand}"]
-    for key in sorted(meta):
-        lines.append(f"# {key}={meta[key]}")
-    lines.append(",".join(names))
-    lines.extend(template % row for row in zip(*(c.tolist() for c in columns)))
-    path.write_text("\n".join(lines) + "\n")
+    header = [f"# {SCHEMA_TAG} {subcommand}", *(f"# {k}={meta[k]}" for k in sorted(meta)),
+              ",".join(names)]
+    cells = []
+    for c in map(np.asarray, columns):
+        key = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
+        distinct, inverse = np.unique(key, return_inverse=True)
+        text = [_CSV_FORMATS[c.dtype.kind] % v for v in distinct.view(c.dtype).tolist()]
+        cells.append(np.array(text, dtype=object)[inverse].tolist())
+    path.write_text("\n".join([*header, *map(",".join, zip(*cells)), ""]))
+
+
+def json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of string-keyed ``obj`` placed at ``indent``.
+
+    Lists of numbers, bools and None go through the C encoder, indented in one replace.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(k)}: {json_text(v, inner)}" for k, v in sorted(obj.items()))
+    elif all(map(isinstance, obj, repeat((int, float, type(None))))):
+        items = [json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)]
+    else:
+        items = (json_text(v, inner) for v in obj)
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
 
 
 def write_json(path: Path, subcommand: str, meta: dict, data) -> None:
     doc = {"meta": {"schema": f"{SCHEMA_TAG} {subcommand}", **meta}, "data": data}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json_text(doc) + "\n")
 
 
 def _jsonable(obj):
@@ -130,9 +152,7 @@ def _write_outputs(subcommand: str, cfg: RunConfig, tables, data, t0: float) -> 
             outputs.append(f"{subcommand}.json")
         manifest = {**meta, "wall_time_s": time.monotonic() - t0, "config": config,
                     "outputs": sorted(outputs)}
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+        (out_dir / "manifest.json").write_text(json_text(manifest) + "\n")
     except OSError as err:
         raise ConfigError(f"cannot write outputs to {out_dir}: {err}") from err
 
@@ -269,7 +289,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     # load_config has already raised on every hard error; the warnings remain
     _, warns = validate_config(cfg)
     print("resolved configuration:")
-    print(json.dumps(_jsonable(cfg.to_dict()), indent=2, sort_keys=True))
+    print(json_text(_jsonable(cfg.to_dict())))
     for w in warns:
         print(f"warning: {w}")
     print(f"OK ({len(warns)} warning(s))")

@@ -102,6 +102,14 @@ def _grid(block: dict) -> SweepGrid:
 def _build(tree: dict) -> RunConfig:
     t = _overlay(default_tree(), tree)
     b1, hus, ext, out = t["drive"]["b1"], t["husimi"], t["extract"], t["output"]
+    g_e = t["center"]["g_factor_e"]
+    for key, ok, kind, value in (
+        ("center.g_factor_e", isinstance(g_e, (int, float, type(None))), "a number or null", g_e),
+        ("drive.b1", isinstance(b1, (int, float, str)), "a number or a complex string", b1),
+        ("output.dir", out["dir"] is not None, "a directory name", None),
+    ):
+        if not ok:
+            raise ConfigError(f"{key} must be {kind}, got {json.dumps(value)}")
     try:
         return RunConfig(
             center=CenterParams(**t["center"]),

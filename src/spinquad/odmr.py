@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import ctypes
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -293,6 +292,7 @@ def odmr_map(
     rows = partial(_spectrum_rows, center, rates, drive, drive_superoperator(center, drive), freqs)
     workers = min(jobs, fields.size)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: serial runs skip it
         with ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread) as pool:
             dpl, baseline = zip(*pool.map(rows, np.array_split(fields, workers)))
         dpl, baseline = np.vstack(dpl), np.concatenate(baseline)

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import loop_csv_text
-from spinquad.cli import _jsonable, main, write_csv
+from spinquad.cli import _jsonable, json_text, main, write_csv
 from spinquad.config import ConfigError, default_tree, load_config, validate_config
 from spinquad.multipoles import model_peak_areas
 
@@ -77,6 +79,9 @@ def test_config_round_trip(overrides, tmp_path):
     ("husimi=3", "section 'husimi' must be an object"),
     ("center.gyro=1", "unknown key(s) ['gyro'] in section 'center'"),
     ("center.gyro_e=1", "unknown key(s) ['gyro_e'] in section 'center'"),
+    ("center.g_factor_e=abc", 'center.g_factor_e must be a number or null, got "abc"'),
+    ("drive.b1=[1]", "drive.b1 must be a number or a complex string, got [1]"),
+    ("output.dir=null", "output.dir must be a directory name, got null"),
 ])
 def test_schema_errors_exit2(override, message, capsys):
     assert main(["validate", "--set", override]) == 2
@@ -427,6 +432,25 @@ def test_write_csv_matches_value_loop(tmp_path):
     # Python lists are columns too, typed by their values
     write_csv(path, "test", names[:1], [floats.tolist()], meta)
     assert path.read_text() == loop_csv_text("test", names[:1], [(v,) for v in floats], meta)
+    # repeated values, among them -0.0 next to 0.0 and repeated non-finite ones
+    grid = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, -0.0])
+    columns = [np.repeat(grid, 3), np.tile(grid, 3), np.full(3 * grid.size, 2.5)]
+    write_csv(path, "test", ["r", "t", "c"], columns, meta)
+    assert path.read_text() == loop_csv_text("test", ["r", "t", "c"], list(zip(*columns)), meta)
+
+
+_JSON_TEXT = st.text() | st.sampled_from([", ", "a, b", "é, ✓"])
+_JSON_NUMBERS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e-310]) | st.integers()
+_JSON_SCALARS = _JSON_NUMBERS | st.booleans() | st.none() | _JSON_TEXT
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(_JSON_SCALARS | st.lists(_JSON_NUMBERS),
+                    lambda inner: st.lists(inner) | st.dictionaries(_JSON_TEXT, inner),
+                    max_leaves=20))
+def test_json_text_matches_json_dumps(obj):
+    # the pure-Python indent path of the json module is the reference
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("arr", [
@@ -441,13 +465,24 @@ def test_jsonable_arrays_match_element_path(arr):
     assert json.dumps(_jsonable({"a": arr})) == json.dumps({"a": _jsonable(arr.tolist())})
 
 
-def test_import_cli_leaves_scipy_out():
+def _loaded_by_cli_import(prefix):
+    """The modules named ``prefix*`` that a fresh ``import spinquad.cli`` loads."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, spinquad.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, spinquad.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_cli_leaves_scipy_out():
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_import_cli_leaves_process_pool_out():
+    # the --jobs process pool is imported only when a map fans out
+    assert _loaded_by_cli_import("concurrent.futures.process") == "[]"
 
 
 SCRIPT_OUTPUTS = {

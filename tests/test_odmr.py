@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -393,7 +394,7 @@ def test_map_workers_bounded_by_fields(center, rates, drive, monkeypatch):
             assert np.array_equal(np.concatenate(blocks), fields)
             return map(fn, blocks)
 
-    monkeypatch.setattr(odmr, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     freqs = np.linspace(60.0, 80.0, 5)
     fields = np.array([0.0, 2.0])
     res = odmr_map(center, rates, drive, freqs, fields, jobs=10**6)
