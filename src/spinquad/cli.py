@@ -159,24 +159,22 @@ def _write_outputs(subcommand: str, cfg: RunConfig, tables, data, t0: float) -> 
 
 def _cmd_levels(cfg: RunConfig, args):
     fields = cfg.field_grid.values()
-    states = steady_states(cfg.center, cfg.rates, fields)
-    data = []
-    for k, bx in enumerate(fields):
-        rep = level_report(cfg.center, cfg.rates, float(bx), states[k])
-        for level in ("g", "e"):
-            data.append(
-                {"field_mT": float(bx), "level": level,
-                 "energies_MHz": rep[f"energies_{level}"],
-                 "populations": rep[f"populations_{level}"],
-                 "brightness": rep[f"brightness_{level}"]}
-            )
+    rep = level_report(cfg.center, cfg.rates, fields, steady_states(cfg.center, cfg.rates, fields))
     names = ["field_mT", "level"]
     columns = [np.repeat(fields, 2), np.tile(["g", "e"], len(fields))]
+    rows = {}
     for key, prefix, unit in (
-        ("energies_MHz", "e", "_MHz"), ("populations", "pop", ""), ("brightness", "bright", "")
+        ("energies", "e", "_MHz"), ("populations", "pop", ""), ("brightness", "bright", "")
     ):
+        # one row per field and level, g before e
+        block = np.stack([rep[f"{key}_g"], rep[f"{key}_e"]], axis=1).reshape(-1, 4)
         names += [f"{prefix}{i}{unit}" for i in range(1, 5)]
-        columns += list(np.array([d[key] for d in data]).T)
+        columns += list(block.T)
+        rows[key + unit] = block.tolist()
+    data = [
+        {"field_mT": bx, "level": level, **{key: v[r] for key, v in rows.items()}}
+        for r, (bx, level) in enumerate(zip(columns[0].tolist(), columns[1].tolist()))
+    ]
     return [("", names, columns, {})], data
 
 

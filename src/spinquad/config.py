@@ -100,13 +100,19 @@ def _grid(block: dict) -> SweepGrid:
 
 
 def _build(tree: dict) -> RunConfig:
-    t = _overlay(default_tree(), tree)
+    defaults = default_tree()
+    t = _overlay(defaults, tree)
     b1, hus, ext, out = t["drive"]["b1"], t["husimi"], t["extract"], t["output"]
     g_e = t["center"]["g_factor_e"]
+    given = dict(_leaves(t))
+    for key, default in _leaves(defaults):
+        # JSON true/false would pass as the numbers 1/0
+        if type(default) in (int, float) and isinstance(given.get(key), bool):
+            raise ConfigError(f"{key} must be a number, got {json.dumps(given[key])}")
     for key, ok, kind, value in (
-        ("center.g_factor_e", isinstance(g_e, (int, float, type(None))), "a number or null", g_e),
+        ("center.g_factor_e", g_e is None or type(g_e) in (int, float), "a number or null", g_e),
         ("drive.b1", isinstance(b1, (int, float, str)), "a number or a complex string", b1),
-        ("output.dir", out["dir"] is not None, "a directory name", None),
+        ("output.dir", isinstance(out["dir"], str), "a directory name", out["dir"]),
     ):
         if not ok:
             raise ConfigError(f"{key} must be {kind}, got {json.dumps(value)}")
@@ -121,7 +127,7 @@ def _build(tree: dict) -> RunConfig:
             husimi_n_phi=int(hus["n_phi"]),
             extract_input=None if ext["input"] is None else str(ext["input"]),
             extract_calibrated=bool(ext["calibrated"]),
-            out_dir=str(out["dir"]),
+            out_dir=out["dir"],
             out_format=str(out["format"]),
         )
     except (TypeError, ValueError, OverflowError) as err:

@@ -77,10 +77,12 @@ def build_hamiltonian(level: str, params: CenterParams, bx) -> np.ndarray:
     return params.gyro_of(level) * bx[..., None, None] * ops.sx + d * zfs
 
 
-def eigensystem(level: str, params: CenterParams, bx: float) -> EigenSystem:
-    """Eigen-decomposition of H(level, B_x), descending energies."""
-    h = build_hamiltonian(level, params, bx)
-    return hermitian_eig(h)
+def eigensystem(level: str, params: CenterParams, bx) -> EigenSystem:
+    """Eigen-decomposition of H(level, B_x), descending energies.
+
+    An array of fields gives the stacked eigensystems, ``bx.shape`` leading.
+    """
+    return hermitian_eig(build_hamiltonian(level, params, bx))
 
 
 @dataclass(frozen=True)
@@ -139,11 +141,12 @@ def crossover_fields(params: CenterParams) -> tuple[float, float]:
 
 
 def level_sweep(level: str, params: CenterParams, b_grid) -> list[EigenSystem]:
-    """Eigen-systems for every field in ``b_grid`` (mT)."""
-    b_grid = np.atleast_1d(np.asarray(b_grid, dtype=float))
+    """Eigen-systems for every field in ``b_grid`` (mT), from one stacked call."""
+    b_grid = np.asarray(b_grid, dtype=float).reshape(-1)
     if b_grid.size == 0:
         raise ValueError("field grid must be nonempty")
-    return [eigensystem(level, params, b) for b in b_grid]
+    es = eigensystem(level, params, b_grid)
+    return [EigenSystem(energies=e, vectors=v) for e, v in zip(es.energies, es.vectors)]
 
 
 def asymptotic_labels(level: str, params: CenterParams, bx: float) -> list[str]:

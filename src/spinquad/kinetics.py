@@ -258,48 +258,68 @@ def build_generator(center: CenterParams, rates: RateParams, bx: float) -> Gener
     return GeneratorMatrix(matrix=g, bx=bx)
 
 
+def bordered_generator(g: np.ndarray) -> np.ndarray:
+    """B = G + u t^T with u = t/9, so t.u = 1, for one generator or a stack.
+
+    B is nonsingular when the kernel of G is one-dimensional and its state
+    has a nonzero trace.  As t G = 0, B x = u gives the steady state (G x = 0,
+    t.x = 1), and B y = s, for a source with t.s = 0, the trace-zero solution
+    of G y = s.
+    """
+    t_row = trace_functional()
+    return g + np.outer(t_row / 9.0, t_row)
+
+
 def _kernel_coords(g: np.ndarray, fields) -> np.ndarray:
     """Normalized kernel vectors, one row per generator of the (n, 33, 33) stack ``g``.
 
-    The singular values of the whole stack come from one batched SVD; the
-    kernel checks and the least-squares solve are made field by field.
+    One stacked SVD checks the kernels and one batched LU solve of the
+    bordered generators gives the states; a failed check or residual gate
+    raises DegenerateKernel naming the field.
     """
     svals = np.linalg.svd(g, compute_uv=False)
-    t_row = trace_functional()
-    b = np.zeros(NDIM + 1)
-    b[-1] = 1.0
-    out = np.empty((len(g), NDIM))
-    for k, (gk, sv, bx) in enumerate(zip(g, svals, fields)):
-        n_null = int(np.sum(sv < NULL_RTOL * max(sv[0], 1e-300)))
-        if n_null == 0:
+    n_null = np.sum(svals < NULL_RTOL * np.maximum(svals[:, :1], 1e-300), axis=1)
+    # Slow (but nonzero) relaxation modes fall under the norm-relative cut
+    # when the coherent scale dominates |G|; a genuine degeneracy sits at
+    # round-off, of sv[-1] or of |G| when sv[-1] is exactly 0.
+    floor = np.maximum(np.maximum(svals[:, -1], np.finfo(float).eps * svals[:, 0]), 1e-300)
+    degenerate = (n_null == 0) | ((n_null > 1) & (svals[:, -2] < 1e3 * floor))
+    if np.any(degenerate):
+        k = np.argmax(degenerate)
+        if n_null[k] == 0:
             raise DegenerateKernel(
-                f"generator at {bx} mT has no zero mode; not a conservative kinetics"
+                f"generator at {fields[k]} mT has no zero mode; not a conservative kinetics"
             )
-        if n_null > 1 and sv[-2] < 1e3 * max(sv[-1], np.finfo(float).eps * sv[0], 1e-300):
-            # Slow (but nonzero) relaxation modes fall under the norm-relative
-            # cut when the coherent scale dominates |G|; a genuine degeneracy
-            # sits at round-off, of sv[-1] or of |G| when sv[-1] is exactly 0.
-            raise DegenerateKernel(
-                f"kernel dimension {n_null} != 1 at {bx} mT (singular values {sv[-3:]})"
-            )
-        x, *_ = np.linalg.lstsq(np.vstack([gk, t_row]), b, rcond=None)
-        residual = np.linalg.norm(gk @ x)
-        gnorm = np.linalg.norm(gk)
-        if residual > NULL_RTOL * gnorm:
-            raise DegenerateKernel(
-                f"steady-state residual {residual:.3e} vs |G| {gnorm:.3e} at {bx} mT"
-            )
-        out[k] = x / (t_row @ x)
-    return out
+        raise DegenerateKernel(
+            f"kernel dimension {n_null[k]} != 1 at {fields[k]} mT "
+            f"(singular values {svals[k, -3:]})"
+        )
+    b = bordered_generator(g)
+    try:
+        x = np.linalg.solve(b, trace_functional()[:, None] / 9.0)[..., 0]
+    except np.linalg.LinAlgError as err:
+        # a one-dimensional kernel whose state has zero trace (a defective zero
+        # eigenvalue) leaves B singular; slogdet factors B as solve does
+        k = np.argmax(np.linalg.slogdet(b)[0] == 0)
+        raise DegenerateKernel(f"the zero mode at {fields[k]} mT carries no population") from err
+    residual = np.linalg.norm(g @ x[..., None], axis=(1, 2))
+    gnorm = np.linalg.norm(g, axis=(1, 2))
+    failed = ~(residual <= NULL_RTOL * gnorm)
+    if np.any(failed):
+        k = np.argmax(failed)
+        raise DegenerateKernel(
+            f"steady-state residual {residual[k]:.3e} vs |G| {gnorm[k]:.3e} at {fields[k]} mT"
+        )
+    return x
 
 
 def steady_state(gen: GeneratorMatrix) -> SpinState:
     """Normalized kernel vector of the generator.
 
     The structural zero mode (total-population conservation) is fixed by
-    appending the normalization row and solving the 34x33 least-squares
-    system.  Raises DegenerateKernel when the kernel is not one-dimensional
-    or the residual is out of tolerance.
+    the rank-one border of ``bordered_generator``: one 33x33 LU solve.
+    Raises DegenerateKernel when the kernel is not one-dimensional or the
+    residual is out of tolerance.
     """
     return coords_to_state(_kernel_coords(gen.matrix[None], [gen.bx])[0])
 
@@ -353,10 +373,11 @@ def steady_state_at(center: CenterParams, rates: RateParams, bx: float) -> SpinS
     return steady_state(build_generator(center, rates, bx))
 
 
-def level_report(center: CenterParams, rates: RateParams, bx: float, state: SpinState) -> dict:
+def level_report(center: CenterParams, rates: RateParams, bx, state: SpinState) -> dict:
     """Eigenstate populations and optical brightness of both levels.
 
-    ``state`` is the steady state at bx, e.g. from a ``steady_states`` sweep.
+    ``state`` is the steady state at bx; an array of fields takes the batch
+    of a ``steady_states`` sweep, and every entry gains the field axes.
 
     Populations are the diagonal of the steady-state density matrix in the
     eigenbasis of the respective Hamiltonian.  Brightness of a GS eigenstate
@@ -364,19 +385,18 @@ def level_report(center: CenterParams, rates: RateParams, bx: float, state: Spin
     ES eigenstate it is the overlap-weighted pump feeding it,
     sum_i T_eg[j, i] * f_g[i], with T_eg the |<e_j|g_i>|^2 transfer matrix.
     """
-    es_g = eigensystem("g", center, bx)
-    es_e = eigensystem("e", center, bx)
-    f_g = np.real(np.diag(es_g.vectors.conj().T @ state.rho_g @ es_g.vectors))
-    f_e = np.real(np.diag(es_e.vectors.conj().T @ state.rho_e @ es_e.vectors))
-    u_eg = es_e.vectors.conj().T @ es_g.vectors
-    t_eg = np.abs(u_eg) ** 2
+    es_g, es_e = eigensystem("g", center, bx), eigensystem("e", center, bx)
+    adj_g, adj_e = (np.swapaxes(es.vectors.conj(), -1, -2) for es in (es_g, es_e))
+    f_g = np.real(np.diagonal(adj_g @ state.rho_g @ es_g.vectors, axis1=-2, axis2=-1))
+    f_e = np.real(np.diagonal(adj_e @ state.rho_e @ es_e.vectors, axis1=-2, axis2=-1))
+    t_eg = np.abs(adj_e @ es_g.vectors) ** 2
     return {
         "energies_g": es_g.energies,
         "energies_e": es_e.energies,
         "populations_g": f_g,
         "populations_e": f_e,
-        "brightness_g": t_eg.T @ f_e,
-        "brightness_e": t_eg @ f_g,
+        "brightness_g": (np.swapaxes(t_eg, -1, -2) @ f_e[..., None])[..., 0],
+        "brightness_e": (t_eg @ f_g[..., None])[..., 0],
         "n_m": state.n_m,
         "pl": pl_intensity(rates, state),
     }

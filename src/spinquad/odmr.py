@@ -18,9 +18,10 @@ block of fields and raises the perturbative-limit warnings itself.  Rows are
 in pole form: one eigendecomposition G = V diag(lam) V^-1 turns the
 first-harmonic solves for all frequencies into
 s+(w) = V diag(1/(lam + i*wt)) V^-1 (-V s0), a sum of 33 complex Lorentzians
-evaluated as one (33, n_f) product, and the DC stage into one least-squares
-solve with the n_f sources as columns.  Each frequency's s+ is accepted only
-if its normwise backward error
+evaluated as one (33, n_f) product, and the DC stage into one LU solve of
+the bordered generator G + u t^T (``kinetics.bordered_generator``) with the
+n_f sources as columns.  Each frequency's s+ is accepted only if its
+normwise backward error
 
     |(G + i*wt) s+ + V s0| / ((|G|_2 + |wt|) |s+| + |V s0|)
 
@@ -45,6 +46,7 @@ from .kinetics import (
     GeneratorMatrix,
     RateParams,
     SpinState,
+    bordered_generator,
     build_generator,
     commutator,
     coords_to_state,
@@ -53,7 +55,6 @@ from .kinetics import (
     state_to_coords,
     steady_state,
     sweep_blocks,
-    trace_functional,
 )
 from .spin_algebra import make_spin_operators
 
@@ -116,15 +117,12 @@ def drive_superoperator(center: CenterParams, drive: DriveParams) -> np.ndarray:
 
 
 def _second_order_dc(g: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """Solve G ds = source on the complement of the trace zero mode.
+    """Trace-zero solution of G ds = source, one LU solve of the bordered generator.
 
-    ``source`` is one (33,) vector or a (33, n) block of them as columns.
+    ``source`` is one (33,) vector or a (33, n) block of them as columns, of
+    zero trace: the drive commutator conserves population.
     """
-    t_row = trace_functional()
-    a = np.vstack([g, t_row])
-    b = np.concatenate([source, np.zeros((1,) + source.shape[1:])])
-    ds, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return ds
+    return np.linalg.solve(bordered_generator(g), source)
 
 
 def _first_harmonic(g: np.ndarray, omega: float, rhs: np.ndarray, freq: float) -> np.ndarray:

@@ -37,10 +37,10 @@ class SpinOperators:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Spectral data of one Hermitian 4x4, energies sorted descending."""
+    """Spectral data of a Hermitian 4x4 (or a stack), energies sorted descending."""
 
-    energies: np.ndarray  # shape (4,), MHz, descending
-    vectors: np.ndarray   # shape (4, 4), column i belongs to energies[i]
+    energies: np.ndarray  # shape (..., 4), MHz, descending
+    vectors: np.ndarray   # shape (..., 4, 4), column i belongs to energies[..., i]
 
 
 @cache
@@ -77,70 +77,68 @@ def sym_anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column's global phase so its largest entry is real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            out[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return out
+    idx = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vectors, idx, axis=-2)
+    size = np.abs(pivot)
+    phase = np.divide(pivot.conj(), size, out=np.ones_like(pivot), where=size > 0)
+    return vectors * phase
 
 
-def _degenerate_clusters(energies: np.ndarray) -> list[list[int]]:
-    """Group indices of (descending) energies into degenerate clusters."""
-    spread = float(energies[0] - energies[-1])
-    tol = DEGENERACY_RTOL * max(spread, np.max(np.abs(energies)), 1e-300)
-    clusters = [[0]]
-    for i in range(1, len(energies)):
-        if energies[i - 1] - energies[i] < tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+def _tie_break(v: np.ndarray, cluster: np.ndarray) -> None:
+    """Set the columns ``cluster`` of one 4x4 ``v`` to the canonical basis of their span."""
+    sub = v[:, cluster]                   # orthonormal span of the subspace
+    proj = sub @ sub.conj().T
+    chosen: list[np.ndarray] = []
+    for j in range(4):
+        cand = proj @ np.eye(4, dtype=complex)[:, j]
+        for prev in chosen:
+            cand = cand - prev * (prev.conj() @ cand)
+        nrm = np.linalg.norm(cand)
+        if nrm > 1e-7:
+            chosen.append(cand / nrm)
+        if len(chosen) == len(cluster):
+            break
+    if len(chosen) == len(cluster):
+        v[:, cluster] = np.column_stack(chosen)
 
 
 def hermitian_eig(m: np.ndarray, htol: float = 1e-10) -> EigenSystem:
-    """Diagonalize a Hermitian 4x4 with descending energies and fixed tie-breaking.
+    """Diagonalize a Hermitian 4x4, or a (..., 4, 4) stack, with descending energies.
 
-    Inside a degenerate subspace the eigenvectors are the projections of the
-    canonical basis vectors, Gram-Schmidt orthonormalized in basis order, so a
-    diagonal input returns canonical basis vectors exactly.  All columns are
-    phase-fixed (largest component real positive).
+    A stack goes through one batched ``eigh``, bitwise the same as matrix by
+    matrix.  Inside a degenerate subspace the eigenvectors are the
+    projections of the canonical basis vectors, Gram-Schmidt orthonormalized
+    in basis order, so a diagonal input returns canonical basis vectors
+    exactly.  All columns are phase-fixed (largest component real positive).
 
-    Raises NotHermitian if max|m - m^dag| exceeds ``htol`` (relative to scale).
+    Raises NotHermitian if max|m - m^dag| of a matrix exceeds ``htol``
+    (relative to its scale).
     """
     m = np.asarray(m, dtype=complex)
-    scale = max(np.max(np.abs(m)), 1.0)
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev > htol * scale:
-        raise NotHermitian(f"max|m - m^dag| = {dev:.3e} exceeds tolerance {htol * scale:.3e}")
-    herm = (m + m.conj().T) / 2.0
+    m_h = np.swapaxes(m, -1, -2).conj()
+    scale = np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
+    dev = np.max(np.abs(m - m_h), axis=(-2, -1))
+    over = dev > htol * scale
+    if np.any(over):
+        k = np.argmax(over)
+        raise NotHermitian(
+            f"max|m - m^dag| = {dev.flat[k]:.3e} exceeds tolerance {htol * scale.flat[k]:.3e}"
+        )
 
-    w, v = np.linalg.eigh(herm)  # ascending
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
+    w, v = np.linalg.eigh((m + m_h) / 2.0)  # ascending
+    w, v = w[..., ::-1].copy(), v[..., ::-1].copy()
 
-    for cluster in _degenerate_clusters(w):
-        if len(cluster) == 1:
-            continue
-        sub = v[:, cluster]                   # orthonormal span of the subspace
-        proj = sub @ sub.conj().T
-        chosen: list[np.ndarray] = []
-        for j in range(4):
-            cand = proj @ np.eye(4, dtype=complex)[:, j]
-            for prev in chosen:
-                cand = cand - prev * (prev.conj() @ cand)
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-7:
-                chosen.append(cand / nrm)
-            if len(chosen) == len(cluster):
-                break
-        if len(chosen) == len(cluster):
-            v[:, cluster] = np.column_stack(chosen)
+    # adjacent energies closer than DEGENERACY_RTOL of the matrix's scale tie;
+    # the tie-break runs only on the matrices that have a tie
+    spread = w[..., 0] - w[..., -1]
+    tol = DEGENERACY_RTOL * np.maximum(np.maximum(spread, np.max(np.abs(w), axis=-1)), 1e-300)
+    tied = ((w[..., :-1] - w[..., 1:]) < tol[..., None]).reshape(-1, 3)
+    for k in np.flatnonzero(tied.any(axis=-1)):
+        for cluster in np.split(np.arange(4), np.flatnonzero(~tied[k]) + 1):
+            if len(cluster) > 1:
+                _tie_break(v.reshape(-1, 4, 4)[k], cluster)
 
-    v = _phase_fix(v)
-    return EigenSystem(energies=w, vectors=v)
+    return EigenSystem(energies=w, vectors=_phase_fix(v))
 
 
 def expm_hermitian(generator: np.ndarray, scale: complex = 1.0) -> np.ndarray:

@@ -82,6 +82,14 @@ def test_config_round_trip(overrides, tmp_path):
     ("center.g_factor_e=abc", 'center.g_factor_e must be a number or null, got "abc"'),
     ("drive.b1=[1]", "drive.b1 must be a number or a complex string, got [1]"),
     ("output.dir=null", "output.dir must be a directory name, got null"),
+    ("output.dir=true", "output.dir must be a directory name, got true"),
+    ("output.dir=[1]", "output.dir must be a directory name, got [1]"),
+    ("center.d_g=true", "center.d_g must be a number, got true"),
+    ("center.g_factor_e=true", "center.g_factor_e must be a number or null, got true"),
+    ("rates.pump=false", "rates.pump must be a number, got false"),
+    ("drive.b1=true", "drive.b1 must be a number, got true"),
+    ("sweep.freq.steps=true", "sweep.freq.steps must be a number, got true"),
+    ("husimi.n_theta=true", "husimi.n_theta must be a number, got true"),
 ])
 def test_schema_errors_exit2(override, message, capsys):
     assert main(["validate", "--set", override]) == 2

@@ -142,3 +142,19 @@ def test_asymptotic_labels(center):
 
     labels = asymptotic_labels("g", center, 5.0)
     assert labels == ["+3/2_x", "+1/2_x", "-1/2_x", "-3/2_x"]
+
+
+@pytest.mark.parametrize("level", ["g", "e"])
+def test_eigensystem_over_fields_is_per_field(center, level):
+    # the stacked eigensystems of a 241-field grid are the one-field ones bit
+    # for bit, and their energies are plain eigh's, descending
+    fields = np.linspace(0.0, 15.0, 241)
+    stack = eigensystem(level, center, fields)
+    sweep = level_sweep(level, center, fields)
+    for k, bx in enumerate(fields):
+        one = eigensystem(level, center, float(bx))
+        for es in (one, sweep[k]):
+            assert np.array_equal(stack.energies[k], es.energies)
+            assert np.array_equal(stack.vectors[k], es.vectors)
+        ref = np.linalg.eigh(build_hamiltonian(level, center, float(bx)))[0][::-1]
+        assert np.array_equal(one.energies, ref)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_valid_rates
 import spinquad.kinetics as kinetics
@@ -7,6 +9,7 @@ from helpers import loop_generator, lstsq_steady_coords
 from spinquad.hamiltonian import CenterParams
 from spinquad.kinetics import (
     NDIM,
+    NULL_RTOL,
     DegenerateKernel,
     InvalidRates,
     RateParams,
@@ -129,11 +132,14 @@ def test_steady_states_match_per_field(center, block, monkeypatch):
     assert states.rho_g.shape == (fields.size, 4, 4)
     for k, bx in enumerate(fields):
         one = steady_state_at(center, rates, float(bx))
-        ref = coords_to_state(lstsq_steady_coords(loop_generator(center, rates, float(bx))))
-        for s in (one, ref):
-            assert np.array_equal(states[k].rho_g, s.rho_g)
-            assert np.array_equal(states[k].rho_e, s.rho_e)
-            assert states[k].n_m == s.n_m
+        assert np.array_equal(states[k].rho_g, one.rho_g)
+        assert np.array_equal(states[k].rho_e, one.rho_e)
+        assert states[k].n_m == one.n_m
+        # the least-squares oracle rounds differently (it is the less accurate
+        # of the two, see test_mp_oracle); agreement to 1e-10 of max|x|
+        ref = lstsq_steady_coords(loop_generator(center, rates, float(bx)))
+        x = state_to_coords(states[k])
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
     # the batched multipoles and level populations are the per-field values
     for batch, one in (
         (quadrupole(states.rho_g), lambda s: quadrupole(s.rho_g)),
@@ -148,10 +154,52 @@ def test_steady_states_match_per_field(center, block, monkeypatch):
 
 
 def test_steady_states_name_the_degenerate_field(center):
+    # the kernel checks run before the bordered solve, so a degenerate kernel
+    # is never a LinAlgError; on a grid the first field is named
     r = RateParams(pump=0, recomb=0, gamma_ms=0, eta_g=0, eta_e=0, gamma_g=0, gamma_e=0)
-    for bx in (0.0, 0.5, 7.5, 15.0):
-        with pytest.raises(DegenerateKernel, match=f"at {bx} mT"):
-            steady_states(center, r, [bx])
+    for grid in ([0.0], [0.5], [7.5], [15.0], np.linspace(0.5, 20.0, 70)):
+        with pytest.raises(DegenerateKernel, match=f"at {grid[0]} mT"):
+            steady_states(center, r, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=9))
+def test_steady_states_properties(seed, fields):
+    # every state of a batch is a density-matrix pair of total trace 1 in the
+    # kernel of its generator, and it is the one-field state bit for bit
+    center = CenterParams()
+    rates = random_valid_rates(np.random.default_rng(seed))
+    fields = np.array(fields)
+    states = steady_states(center, rates, fields)
+    assert np.all(np.abs(states.total() - 1.0) <= 1e-9)
+    for rho in (states.rho_g, states.rho_e):
+        assert np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) <= 1e-9
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-9
+    assert np.min(states.n_m) >= -1e-9
+    gens = generator_stack(center, rates, fields)
+    residual = np.linalg.norm(gens @ state_to_coords(states)[..., None], axis=(1, 2))
+    assert np.all(residual <= NULL_RTOL * np.linalg.norm(gens, axis=(1, 2)))
+    for k, bx in enumerate(fields):
+        one = steady_state_at(center, rates, float(bx))
+        assert np.array_equal(states[k].rho_g, one.rho_g)
+        assert np.array_equal(states[k].rho_e, one.rho_e)
+        assert states[k].n_m == one.n_m
+
+
+def test_trace_free_zero_mode_raises_degenerate_kernel():
+    # a conservative generator (t G = 0) with a one-dimensional kernel whose
+    # state has zero trace: coordinate 0 feeds the trace-free coordinate 4,
+    # the zero mode, and every other traced coordinate drains into 0.  The
+    # bordered matrix is singular; it is reported as DegenerateKernel.
+    t = trace_functional()
+    g = -np.eye(NDIM)
+    g[0, np.flatnonzero(t)[1:]] = 1.0
+    g[:, 0] = 0.0
+    g[4, 0] = 1.0
+    g[:, 4] = 0.0
+    assert np.max(np.abs(t @ g)) == 0.0
+    with pytest.raises(DegenerateKernel, match="at 3.0 mT"):
+        kinetics._kernel_coords(g[None], [3.0])
 
 
 def test_hermiticity_preserved(center, rates):
@@ -273,6 +321,18 @@ def test_level_report_population_patterns(center, rates):
     pe = rep_hi["populations_e"]
     # far above the ES crossover the +/-3/2_x states (outer indices) dominate
     assert pe[0] > pe[1] and pe[3] > pe[2]
+
+
+def test_level_report_over_fields_is_per_field(center, rates):
+    # one call on a steady_states batch equals the one-field calls bit for bit
+    fields = np.linspace(0.0, 15.0, 31)
+    states = steady_states(center, rates, fields)
+    batch = level_report(center, rates, fields, states)
+    for k, bx in enumerate(fields):
+        one = level_report(center, rates, float(bx), states[k])
+        assert batch.keys() == one.keys()
+        for key, value in one.items():
+            assert np.array_equal(batch[key][k], value)
 
 
 def test_level_report_population_sums(center, rates):

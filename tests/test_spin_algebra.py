@@ -183,3 +183,29 @@ def test_operations_are_pure(ops):
     assert np.array_equal(a.sx, b.sx) and np.array_equal(a.sy, b.sy)
     m = np.diag([3.0, 1.0, -1.0, -3.0]).astype(complex)
     assert np.array_equal(hermitian_eig(m).vectors, hermitian_eig(m).vectors)
+
+
+def test_eig_stack_matches_per_matrix():
+    # one batched call over any leading axes equals the one-matrix calls bit
+    # for bit, degenerate matrices (tie-break) mixed in with generic ones
+    rng = np.random.default_rng(17)
+    v = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    special = [np.diag([35.0, -35.0, -35.0, 35.0]), np.zeros((4, 4)), 5.0 * np.outer(v, v),
+               np.diag([3.0, 1.0, -1.0, -3.0])]
+    generic = [random_hermitian(rng, scale=10.0) for _ in range(16)]
+    generic += [m.real for m in generic[:4]]
+    stack = np.array(special + generic, dtype=complex).reshape(4, 6, 4, 4)
+    es = hermitian_eig(stack)
+    assert es.energies.shape == (4, 6, 4) and es.vectors.shape == (4, 6, 4, 4)
+    for idx in np.ndindex(4, 6):
+        one = hermitian_eig(stack[idx])
+        assert np.array_equal(es.energies[idx], one.energies)
+        assert np.array_equal(es.vectors[idx], one.vectors)
+    # phase fix: the largest entry of every column is real positive
+    pivot = np.take_along_axis(es.vectors, np.argmax(np.abs(es.vectors), axis=-2)[..., None, :],
+                               axis=-2)
+    assert np.all(pivot.real > 0) and np.max(np.abs(pivot.imag)) < 1e-15
+    bad = stack.copy()
+    bad[2, 3, 0, 1] += 1.0  # not mirrored
+    with pytest.raises(NotHermitian):
+        hermitian_eig(bad)
