@@ -7,7 +7,9 @@ document without touching the file system; ``_write_outputs`` alone applies
 recording the fully resolved parameters.  Identical resolved configs produce
 byte-identical data files (CSV floats with 17 significant digits, JSON as
 ``json.dumps(indent=2, sort_keys=True)``, fixed row order); only the manifest
-carries the wall time.
+carries the wall time.  Each data file takes one formatting pass: a CSV
+table's rows come from one printf template run over the whole table, and a
+float array in a JSON document has each distinct value formatted once.
 
 Exit codes: 0 success, 2 configuration error (an unwritable output
 directory included), 3 numerical failure (running out of memory included).
@@ -66,28 +68,62 @@ NUMERICAL_ERRORS = (
 _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
 
+def _printf_each(conv: str, values: list) -> list[str]:
+    """``[conv % v for v in values]`` in one C pass, for a conversion that writes no newline."""
+    return (f"{conv}\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
 def write_csv(path: Path, subcommand: str, names: list[str], columns, meta: dict) -> None:
     """Write equal-length 1-D ``columns`` under the header ``names``.
 
-    Each column's distinct values (floats by bit pattern, so -0.0 keeps its
-    sign) are formatted once; the text is joined once, final newline included.
+    The rows come from one printf template run once over the whole table.  A
+    column with repeated values has each distinct value (floats by bit
+    pattern, so -0.0 keeps its sign) formatted once and enters the template
+    as strings; any other column enters as its values under its own conversion.
     """
     header = [f"# {SCHEMA_TAG} {subcommand}", *(f"# {k}={meta[k]}" for k in sorted(meta)),
-              ",".join(names)]
-    cells = []
+              ",".join(names), ""]
+    convs, cells = [], []
     for c in map(np.asarray, columns):
+        conv = _CSV_FORMATS[c.dtype.kind]
         key = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
         distinct, inverse = np.unique(key, return_inverse=True)
-        text = [_CSV_FORMATS[c.dtype.kind] % v for v in distinct.view(c.dtype).tolist()]
-        cells.append(np.array(text, dtype=object)[inverse].tolist())
-    path.write_text("\n".join([*header, *map(",".join, zip(*cells)), ""]))
+        if distinct.size < c.size:
+            values = distinct.view(c.dtype).tolist()
+            text = values if conv == "%s" else _printf_each(conv, values)
+            c, conv = np.array(text, dtype=object)[inverse], "%s"
+        convs.append(conv)
+        cells.append(c)
+    table = np.empty((len(cells[0]) if cells else 0, len(cells)), dtype=object)
+    for j, c in enumerate(cells):
+        table[:, j] = c
+    with path.open("w") as f:
+        f.write("\n".join(header))
+        f.write((",".join(convs) + "\n") * len(table) % tuple(table.ravel().tolist()))
+
+
+def _array_text(rows: list, indent: str) -> str:
+    """The ``json_text`` layout of nested lists whose leaves are JSON number texts."""
+    inner = indent + "  "
+    items = rows if isinstance(rows[0], str) else [_array_text(r, inner) for r in rows]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def json_text(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` of string-keyed ``obj`` placed at ``indent``.
+    """``json.dumps(_jsonable(obj), indent=2, sort_keys=True)``, placed at ``indent``.
 
-    Lists of numbers, bools and None go through the C encoder, indented in one replace.
+    Dict keys are strings.  A float array has each distinct bit pattern
+    formatted once; lists of numbers, bools and None go through the C
+    encoder, indented in one replace.
     """
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim and obj.size:
+        flat = obj.ravel()  # the shape of np.unique's inverse differs across numpy versions
+        distinct, inverse = np.unique(flat.view(f"i{flat.itemsize}"), return_inverse=True)
+        text = json.dumps(distinct.view(flat.dtype).tolist())[1:-1].split(", ")
+        return _array_text(np.array(text, dtype=object)[inverse].reshape(obj.shape).tolist(),
+                           indent)
+    if not isinstance(obj, (dict, list, tuple)):
+        obj = _jsonable(obj)
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return json.dumps(obj)
     inner = indent + "  "
@@ -148,7 +184,7 @@ def _write_outputs(subcommand: str, cfg: RunConfig, tables, data, t0: float) -> 
                 outputs.append(name)
         if cfg.out_format in ("json", "both") or not tables:
             write_json(out_dir / f"{subcommand}.json", subcommand, {**meta, "config": config},
-                       _jsonable(data))
+                       data)
             outputs.append(f"{subcommand}.json")
         manifest = {**meta, "wall_time_s": time.monotonic() - t0, "config": config,
                     "outputs": sorted(outputs)}

@@ -104,11 +104,18 @@ def _build(tree: dict) -> RunConfig:
     t = _overlay(defaults, tree)
     b1, hus, ext, out = t["drive"]["b1"], t["husimi"], t["extract"], t["output"]
     g_e = t["center"]["g_factor_e"]
-    given = dict(_leaves(t))
     for key, default in _leaves(defaults):
-        # JSON true/false would pass as the numbers 1/0
-        if type(default) in (int, float) and isinstance(given.get(key), bool):
-            raise ConfigError(f"{key} must be a number, got {json.dumps(given[key])}")
+        # JSON true/false would pass as the numbers 1/0, int() would truncate
+        # a count of 2.5, and bool() would read "false" or 0.5 as true
+        value = t
+        for part in key.split("."):
+            value = value[part]
+        if type(default) in (int, float) and isinstance(value, bool):
+            raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
+        if type(default) is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+        if type(default) is bool and not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, got {json.dumps(value)}")
     for key, ok, kind, value in (
         ("center.g_factor_e", g_e is None or type(g_e) in (int, float), "a number or null", g_e),
         ("drive.b1", isinstance(b1, (int, float, str)), "a number or a complex string", b1),

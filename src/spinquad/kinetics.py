@@ -270,12 +270,13 @@ def bordered_generator(g: np.ndarray) -> np.ndarray:
     return g + np.outer(t_row / 9.0, t_row)
 
 
-def _kernel_coords(g: np.ndarray, fields) -> np.ndarray:
-    """Normalized kernel vectors, one row per generator of the (n, 33, 33) stack ``g``.
+def _kernel_coords(g: np.ndarray, fields) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized kernel vectors and the norms |G|_2 of the (n, 33, 33) stack ``g``.
 
-    One stacked SVD checks the kernels and one batched LU solve of the
-    bordered generators gives the states; a failed check or residual gate
-    raises DegenerateKernel naming the field.
+    One stacked SVD checks the kernels (its largest singular values are the
+    norms) and one batched LU solve of the bordered generators gives the
+    states, one row each; a failed check or residual gate raises
+    DegenerateKernel naming the field.
     """
     svals = np.linalg.svd(g, compute_uv=False)
     n_null = np.sum(svals < NULL_RTOL * np.maximum(svals[:, :1], 1e-300), axis=1)
@@ -310,7 +311,7 @@ def _kernel_coords(g: np.ndarray, fields) -> np.ndarray:
         raise DegenerateKernel(
             f"steady-state residual {residual[k]:.3e} vs |G| {gnorm[k]:.3e} at {fields[k]} mT"
         )
-    return x
+    return x, svals[:, 0]
 
 
 def steady_state(gen: GeneratorMatrix) -> SpinState:
@@ -321,11 +322,13 @@ def steady_state(gen: GeneratorMatrix) -> SpinState:
     Raises DegenerateKernel when the kernel is not one-dimensional or the
     residual is out of tolerance.
     """
-    return coords_to_state(_kernel_coords(gen.matrix[None], [gen.bx])[0])
+    coords, _ = _kernel_coords(gen.matrix[None], [gen.bx])
+    return coords_to_state(coords[0])
 
 
 def sweep_blocks(center: CenterParams, rates: RateParams, fields):
-    """Yield each SWEEP_BLOCK-field block's (n, 33, 33) generators and (n, 33) steady states.
+    """Yield each SWEEP_BLOCK-field block's (n, 33, 33) generators, (n, 33) steady states
+    and (n,) norms |G|_2.
 
     One probe builds a block's generators and one stacked SVD checks their
     kernels; every state equals ``steady_state_at`` at its field, bit for bit.
@@ -334,12 +337,12 @@ def sweep_blocks(center: CenterParams, rates: RateParams, fields):
     for start in range(0, fields.size, SWEEP_BLOCK):
         block = fields[start:start + SWEEP_BLOCK]
         gens = generator_stack(center, rates, block)
-        yield gens, _kernel_coords(gens, block)
+        yield gens, *_kernel_coords(gens, block)
 
 
 def steady_states(center: CenterParams, rates: RateParams, fields) -> SpinState:
     """Steady states over a 1-D field grid, as one batch with a leading field axis."""
-    coords = [x for _, x in sweep_blocks(center, rates, fields)]
+    coords = [x for _, x, _ in sweep_blocks(center, rates, fields)]
     return coords_to_state(np.concatenate([np.empty((0, NDIM)), *coords]))
 
 

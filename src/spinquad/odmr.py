@@ -195,8 +195,13 @@ def mw_response(
     return float(dpl), float(baseline)
 
 
-def _pole_first_harmonic(g: np.ndarray, freqs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """s+ at every frequency as the (33, n_f) columns, from one eigendecomposition."""
+def _pole_first_harmonic(
+    g: np.ndarray, gnorm: float, freqs: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """s+ at every frequency as the (33, n_f) columns, from one eigendecomposition.
+
+    ``gnorm`` is |G|_2, which scales the backward-error gate.
+    """
     omega = TWO_PI * freqs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam, vec = np.linalg.eig(g)
@@ -206,9 +211,7 @@ def _pole_first_harmonic(g: np.ndarray, freqs: np.ndarray, rhs: np.ndarray) -> n
             coef = np.full(NDIM, np.nan)
         s_plus = vec @ (coef[:, None] / (lam[:, None] + 1j * omega))
         resid = g @ s_plus + 1j * omega * s_plus - rhs[:, None]
-        scale = (np.linalg.norm(g, 2) + np.abs(omega)) * np.linalg.norm(
-            s_plus, axis=0
-        ) + np.linalg.norm(rhs)
+        scale = (gnorm + np.abs(omega)) * np.linalg.norm(s_plus, axis=0) + np.linalg.norm(rhs)
         # backward error <= cut-off, written so that NaN and inf fail it and an
         # exact zero response (0/0) passes
         accepted = np.linalg.norm(resid, axis=0) <= POLE_BACKWARD_ERROR * scale
@@ -232,11 +235,11 @@ def _spectrum_rows(
     dpl = np.zeros((fields.size, freqs.size))
     baseline = np.empty(fields.size)
     b1 = complex(drive.b1)
-    pairs = (p for gens, coords in sweep_blocks(center, rates, fields) for p in zip(gens, coords))
-    for k, (g, x0) in enumerate(pairs):
+    rows = (row for block in sweep_blocks(center, rates, fields) for row in zip(*block))
+    for k, (g, x0, gnorm) in enumerate(rows):
         baseline[k] = pl_intensity(rates, coords_to_state(x0))
         if b1 != 0:
-            s_plus = _pole_first_harmonic(g, freqs, -b1 * (w @ x0))
+            s_plus = _pole_first_harmonic(g, gnorm, freqs, -b1 * (w @ x0))
             source = -2.0 * (w @ np.real(np.conj(b1) * s_plus))
             ds = _second_order_dc(g, source)
             dpl[k] = rates.recomb * ds[16:20].sum(axis=0) / baseline[k]

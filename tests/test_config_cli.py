@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import loop_csv_text
+from spinquad import cli
 from spinquad.cli import _jsonable, json_text, main, write_csv
 from spinquad.config import ConfigError, default_tree, load_config, validate_config
 from spinquad.multipoles import model_peak_areas
@@ -51,6 +52,10 @@ def test_config_error_cases(tmp_path):
         load_config(None, ["sweep.field.min=5", "sweep.field.max=1"])
     with pytest.raises(ConfigError):
         load_config(None, ["noequalsign"])
+    with pytest.raises(ConfigError, match="extract.calibrated must be true or false"):
+        load_config(write_config(tmp_path, {"extract": {"calibrated": "false"}}))
+    # an integral number is a count
+    assert load_config(None, ["sweep.freq.steps=1e3"]).freq_grid.steps == 1000
 
 
 @pytest.mark.parametrize("overrides", [
@@ -90,6 +95,14 @@ def test_config_round_trip(overrides, tmp_path):
     ("drive.b1=true", "drive.b1 must be a number, got true"),
     ("sweep.freq.steps=true", "sweep.freq.steps must be a number, got true"),
     ("husimi.n_theta=true", "husimi.n_theta must be a number, got true"),
+    ("sweep.field.steps=2.5", "sweep.field.steps must be an integer, got 2.5"),
+    ("sweep.freq.steps=NaN", "sweep.freq.steps must be an integer, got NaN"),
+    ("husimi.n_theta=2.7", "husimi.n_theta must be an integer, got 2.7"),
+    ("husimi.n_phi=1e-3", "husimi.n_phi must be an integer, got 0.001"),
+    ('extract.calibrated="false"', 'extract.calibrated must be true or false, got "false"'),
+    ("extract.calibrated=0.5", "extract.calibrated must be true or false, got 0.5"),
+    ("extract.calibrated=1", "extract.calibrated must be true or false, got 1"),
+    ("extract.calibrated=null", "extract.calibrated must be true or false, got null"),
 ])
 def test_schema_errors_exit2(override, message, capsys):
     assert main(["validate", "--set", override]) == 2
@@ -445,6 +458,21 @@ def test_write_csv_matches_value_loop(tmp_path):
     columns = [np.repeat(grid, 3), np.tile(grid, 3), np.full(3 * grid.size, 2.5)]
     write_csv(path, "test", ["r", "t", "c"], columns, meta)
     assert path.read_text() == loop_csv_text("test", ["r", "t", "c"], list(zip(*columns)), meta)
+    # strings that look like printf conversions, alone and repeated
+    text = np.array(["%", "%s", "%%", "100%d", "a%%s"])
+    columns = [text, np.tile(text[:2], 3)[:5], floats[:5]]
+    write_csv(path, "test", ["s", "r", "f"], columns, meta)
+    assert path.read_text() == loop_csv_text("test", ["s", "r", "f"], list(zip(*columns)), meta)
+    # every column repeats, of every kind
+    columns = [np.repeat(grid, 2), np.tile([7, -7], grid.size),
+               np.repeat([True, False], grid.size), np.tile(text[:2], grid.size),
+               np.zeros(2 * grid.size, dtype=np.uint8)]
+    write_csv(path, "test", names, columns, meta)
+    assert path.read_text() == loop_csv_text("test", names, list(zip(*columns)), meta)
+    # one row
+    columns = [c[:1] for c in columns]
+    write_csv(path, "test", names, columns, meta)
+    assert path.read_text() == loop_csv_text("test", names, list(zip(*columns)), meta)
 
 
 _JSON_TEXT = st.text() | st.sampled_from([", ", "a, b", "é, ✓"])
@@ -461,6 +489,36 @@ def test_json_text_matches_json_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
+_ARRAY_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1e300])
+
+
+@st.composite
+def _float_arrays(draw):
+    # 1-D and 2-D, with repeats drawn from a small pool of values
+    pool = draw(st.lists(_ARRAY_FLOATS, min_size=1, max_size=6))
+    shape = draw(st.sampled_from([(1,), (5,), (1, 1), (3, 4), (2, 1), (1, 3)]))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    return np.array([pool[i] for i in picks]).reshape(shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(_JSON_SCALARS | _float_arrays() | st.lists(_JSON_NUMBERS),
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+                    max_leaves=10))
+def test_json_text_of_float_arrays_matches_json_dumps(obj):
+    # float arrays are left in the document; _jsonable's lists are the reference
+    assert json_text(obj) == json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+
+
+def test_json_text_of_float_array_edges():
+    arr = np.array([[-0.0, 0.0, np.nan, np.inf], [-np.inf, 5e-324, 1e300, -0.0]])
+    for obj in (arr, arr[0], arr.T, arr[:, ::2], {"a": [arr, arr[1]]}, np.empty((2, 0)),
+                np.float64(-0.0), np.array(2.5)):
+        assert json_text(obj) == json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("arr", [
     np.array([[0.1, -0.0, 1e300], [np.pi, -2.5, 7.0]]),
     np.arange(-3, 3).reshape(2, 3),
@@ -471,6 +529,23 @@ def test_jsonable_arrays_match_element_path(arr):
     # the element-by-element conversion of the same values is the reference
     assert json.dumps(_jsonable(arr)) == json.dumps(_jsonable(arr.tolist()))
     assert json.dumps(_jsonable({"a": arr})) == json.dumps({"a": _jsonable(arr.tolist())})
+
+
+def test_husimi_zero_field_writes_the_reference_bytes(tmp_path):
+    # the default 91 x 181 sphere at 0 mT, where every column repeats values
+    out = tmp_path / "hu"
+    argv = ["husimi", "--out", str(out), "--format", "both", "--set", "sweep.field.steps=1"]
+    assert main(argv) == 0
+    tables, data = cli.COMMANDS["husimi"](load_config(None, argv[-1:]), None)
+    meta = {"version": cli.__version__, "subcommand": "husimi"}
+    for suffix, names, columns, extra in tables:
+        rows = list(zip(*columns))
+        assert len(rows) == 91 * 181
+        expected = loop_csv_text("husimi", names, rows, {**meta, **extra})
+        assert (out / f"husimi{suffix}.csv").read_text() == expected
+    text = (out / "husimi.json").read_text()
+    doc = {"meta": json.loads(text)["meta"], "data": _jsonable(data)}
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _loaded_by_cli_import(prefix):

@@ -186,6 +186,18 @@ def test_steady_states_properties(seed, fields):
         assert states[k].n_m == one.n_m
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sweep_norms_are_the_per_field_norms(seed):
+    # the stacked SVD's largest singular values are |G|_2 of each generator,
+    # bit for bit, so the pole gate needs no SVD of its own
+    rates = random_valid_rates(np.random.default_rng(seed))
+    fields = np.linspace(0.0, 15.0, kinetics.SWEEP_BLOCK + 3)
+    (gens, _, norms), (tail, _, tail_norms) = kinetics.sweep_blocks(CenterParams(), rates, fields)
+    for g, norm in zip([*gens, *tail], [*norms, *tail_norms]):
+        assert norm == np.linalg.norm(g, 2)
+
+
 def test_trace_free_zero_mode_raises_degenerate_kernel():
     # a conservative generator (t G = 0) with a one-dimensional kernel whose
     # state has zero trace: coordinate 0 feeds the trace-free coordinate 4,
