@@ -77,9 +77,10 @@ def write_csv(path: Path, subcommand: str, names: list[str], columns, meta: dict
     """Write equal-length 1-D ``columns`` under the header ``names``.
 
     The rows come from one printf template run once over the whole table.  A
-    column with repeated values has each distinct value (floats by bit
-    pattern, so -0.0 keeps its sign) formatted once and enters the template
-    as strings; any other column enters as its values under its own conversion.
+    column with at most half as many distinct values as rows has each
+    distinct value (floats by bit pattern, so -0.0 keeps its sign) formatted
+    once and enters the template as strings; any other column enters as its
+    values under its own conversion, as formatting it twice would cost more.
     """
     header = [f"# {SCHEMA_TAG} {subcommand}", *(f"# {k}={meta[k]}" for k in sorted(meta)),
               ",".join(names), ""]
@@ -88,7 +89,7 @@ def write_csv(path: Path, subcommand: str, names: list[str], columns, meta: dict
         conv = _CSV_FORMATS[c.dtype.kind]
         key = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
         distinct, inverse = np.unique(key, return_inverse=True)
-        if distinct.size < c.size:
+        if 2 * distinct.size <= c.size:
             values = distinct.view(c.dtype).tolist()
             text = values if conv == "%s" else _printf_each(conv, values)
             c, conv = np.array(text, dtype=object)[inverse], "%s"

@@ -21,6 +21,12 @@ from .kinetics import RateParams
 from .odmr import DriveParams
 
 
+# Largest Husimi grid, n_theta * n_phi points (the default has 16471).
+# ``husimi`` holds a few (n_theta, 4, n_phi) complex arrays, 64 B a point
+# each; at the cap a `husimi` run peaks near 320 MB, its CSV writes included.
+HUSIMI_MAX_POINTS = 1_000_000
+
+
 class ConfigError(ValueError):
     """Configuration file or override is invalid."""
 
@@ -106,11 +112,15 @@ def _build(tree: dict) -> RunConfig:
     g_e = t["center"]["g_factor_e"]
     for key, default in _leaves(defaults):
         # JSON true/false would pass as the numbers 1/0, int() would truncate
-        # a count of 2.5, and bool() would read "false" or 0.5 as true
+        # a count of 2.5, and bool() would read "false" or 0.5 as true; a
+        # complex drive.b1 is a string, checked below
         value = t
         for part in key.split("."):
             value = value[part]
-        if type(default) in (int, float) and isinstance(value, bool):
+        if type(default) in (int, float) and (
+            isinstance(value, bool)
+            or not (isinstance(value, (int, float)) or key == "drive.b1")
+        ):
             raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
         if type(default) is int and isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
@@ -207,6 +217,11 @@ def validate_config(cfg: RunConfig) -> tuple[list[str], list[str]]:
         errors.append(f"non-finite value(s) for {', '.join(non_finite)}")
     if cfg.husimi_n_theta < 2 or cfg.husimi_n_phi < 2:
         errors.append("husimi grids need at least 2 points per axis")
+    elif cfg.husimi_n_theta * cfg.husimi_n_phi > HUSIMI_MAX_POINTS:
+        errors.append(
+            f"husimi.n_theta * husimi.n_phi = {cfg.husimi_n_theta * cfg.husimi_n_phi} "
+            f"exceeds {HUSIMI_MAX_POINTS} grid points"
+        )
     if cfg.out_format not in ("csv", "json", "both"):
         errors.append(f"unknown output format '{cfg.out_format}'")
 

@@ -19,11 +19,19 @@ Term by term (time in us, Hamiltonians in MHz, rates in 1/us):
 with branch rates k_{g,e}^{half,three} = gamma_ms*(1 +/- eta_{g,e}) (plus sign
 for the +/-1/2 doublet) and {A,B} = (AB+BA)/2.  Total population
 Tr(rho_g) + Tr(rho_e) + N_m is conserved exactly.
+
+The field enters only through the Zeeman term gyro*B_x*S_x of H_g and H_e,
+so the generator is affine in it: G(B) = G(0) + 2*pi*(gyro*B)*Z, with Z the
+field-free pattern of rho -> i[rho, S_x] (``zeeman_pattern``).  A sweep
+probes ``kinetic_rhs`` once, at 0 mT, and adds the Zeeman term per field;
+no entry of G carries both a field term and a field-free term, so the sum
+is the probe at that field bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -38,9 +46,9 @@ UPPER_ROWS, UPPER_COLS = np.triu_indices(4, 1)
 NDIM = 33  # 16 (rho_g) + 16 (rho_e) + 1 (N_m)
 
 # Fields per block of a batched sweep.  A block's (SWEEP_BLOCK, 33, 33)
-# generator stack and its (SWEEP_BLOCK, 33, 4, 4) probe images bound the
-# memory of a sweep, whatever the length of its field grid.  Sweep time is
-# flat from 8 to 241 fields a block; 64 adds about 3.5 MB to a sweep's peak.
+# generator stack, its SVD and its bordered LU bound the memory of a sweep,
+# whatever the length of its field grid.  64 fields are about 0.6 MB of
+# generators.
 SWEEP_BLOCK = 64
 
 # Singular values below NULL_RTOL * |G| count as zero modes of a generator,
@@ -196,16 +204,11 @@ class GeneratorMatrix:
     bx: float
 
 
-def kinetic_rhs(center: CenterParams, rates: RateParams, bx, s: SpinState) -> SpinState:
-    """Direct term-by-term evaluation of the kinetic equations at one state or a batch.
-
-    An array of fields ``bx`` adds leading axes: the result has the shape
-    ``bx.shape + batch`` of states.
-    """
+def kinetic_rhs(center: CenterParams, rates: RateParams, bx: float, s: SpinState) -> SpinState:
+    """Direct term-by-term evaluation of the kinetic equations at one state or a batch."""
     ops = make_spin_operators()
-    stack = np.shape(bx) + (1,) * (np.ndim(s.rho_g) - 2) + (4, 4)
-    h_g = build_hamiltonian("g", center, bx).reshape(stack)
-    h_e = build_hamiltonian("e", center, bx).reshape(stack)
+    h_g = build_hamiltonian("g", center, bx)
+    h_e = build_hamiltonian("e", center, bx)
     eye = np.eye(4, dtype=complex)
     tr_g = np.trace(s.rho_g, axis1=-2, axis2=-1)[..., None, None]
     tr_e = np.trace(s.rho_e, axis1=-2, axis2=-1)[..., None, None]
@@ -231,29 +234,60 @@ def kinetic_rhs(center: CenterParams, rates: RateParams, bx, s: SpinState) -> Sp
         + rates.k_e_three * np.trace(ops.p_three_half @ s.rho_e, axis1=-2, axis2=-1).real
         - (rates.k_g_half + rates.k_g_three) * s.n_m
     )
-    return SpinState(rho_g=d_g, rho_e=d_e, n_m=np.broadcast_to(d_m, d_g.shape[:-2]))
+    return SpinState(rho_g=d_g, rho_e=d_e, n_m=d_m)
 
 
 def linear_map_matrix(fn) -> np.ndarray:
     """Real NDIM x NDIM matrix of a linear ``SpinState -> SpinState`` map.
 
-    ``fn`` is applied once, to the batch of all NDIM unit states; axes that
-    ``fn`` puts in front of that batch (fields) lead the result as a stack of
-    matrices.  The result is C-contiguous: a Fortran-ordered transpose rounds
+    ``fn`` is applied once, to the batch of all NDIM unit states.  The
+    result is C-contiguous: a Fortran-ordered transpose rounds
     differently in LAPACK/BLAS.
     """
     images = state_to_coords(fn(coords_to_state(np.eye(NDIM))))
     return np.ascontiguousarray(np.swapaxes(images, -1, -2))
 
 
+@cache
+def zeeman_pattern() -> tuple[np.ndarray, np.ndarray]:
+    """Z, the real 33x33 matrix of x -> coords(i[rho_g, S_x], i[rho_e, S_x], 0), as (S, 2*pi*C).
+
+    Each entry of Z is c*s, with s an entry of S_x (sqrt(3)/2 or 1) and c = 2
+    where the commutator adds two equal products, else 1.  The field term
+    2*pi*c*fl(gyro*B*s) then rounds as the probe rounds it, subnormal fields
+    included.  Built once by one probe and shared, so the arrays are read-only.
+    """
+    sx = make_spin_operators().sx
+    z = linear_map_matrix(lambda s: SpinState(
+        rho_g=1j * commutator(s.rho_g, sx), rho_e=1j * commutator(s.rho_e, sx),
+        n_m=np.zeros_like(s.n_m),
+    ))
+    doubled = np.abs(z) > 1.5  # sqrt(3) and 2
+    pattern = np.where(doubled, z / 2.0, z), np.where(doubled, 2.0 * TWO_PI, TWO_PI)
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
+
+
 def generator_stack(center: CenterParams, rates: RateParams, fields) -> np.ndarray:
-    """The (n_b, 33, 33) real generators at every field of a 1-D grid, in one probe."""
+    """The (n_b, 33, 33) real generators at every field of a 1-D grid.
+
+    G(B) = G(0) + 2*pi*(gyro*B)*Z, with G(0) one probe of ``kinetic_rhs`` and
+    the gyro of each row's level (0 for N_m).  No entry of G(0) meets a
+    nonzero entry of Z, so every slice equals the probe of ``kinetic_rhs`` at
+    its field, signs of zeros included.
+    """
     fields = np.asarray(fields, dtype=float).reshape(-1)
-    return linear_map_matrix(lambda s: kinetic_rhs(center, rates, fields, s))
+    if not np.all(np.isfinite(fields)):
+        raise ValueError("bx must be finite")
+    g0 = linear_map_matrix(lambda s: kinetic_rhs(center, rates, 0.0, s))
+    gyro = np.repeat([center.gyro_of("g"), center.gyro_of("e"), 0.0], [16, 16, 1])
+    s_x, two_pi_c = zeeman_pattern()
+    return g0 + np.multiply.outer(fields, gyro)[:, :, None] * s_x * two_pi_c
 
 
 def build_generator(center: CenterParams, rates: RateParams, bx: float) -> GeneratorMatrix:
-    """Assemble the 33x33 real generator by probing the kinetics with unit states."""
+    """The 33x33 real generator at one field (``generator_stack`` of one field)."""
     g = generator_stack(center, rates, bx)[0]
     return GeneratorMatrix(matrix=g, bx=bx)
 
@@ -330,8 +364,9 @@ def sweep_blocks(center: CenterParams, rates: RateParams, fields):
     """Yield each SWEEP_BLOCK-field block's (n, 33, 33) generators, (n, 33) steady states
     and (n,) norms |G|_2.
 
-    One probe builds a block's generators and one stacked SVD checks their
-    kernels; every state equals ``steady_state_at`` at its field, bit for bit.
+    ``generator_stack`` builds a block's generators and one stacked SVD checks
+    their kernels; every state equals ``steady_state_at`` at its field, bit
+    for bit.
     """
     fields = np.asarray(fields, dtype=float).reshape(-1)
     for start in range(0, fields.size, SWEEP_BLOCK):

@@ -96,17 +96,16 @@ def husimi(rho: np.ndarray, n_theta: int = 91, n_phi: int = 181) -> HusimiGrid:
     """P(theta, phi) = <3/2|_(theta,phi) rho |3/2>_(theta,phi).
 
     The coherent state is the rotated stretched state
-    exp(-i phi S_z) exp(-i theta S_y) |+3/2>_z.
+    exp(-i phi S_z) exp(-i theta S_y) |+3/2>_z: the stretched column of the
+    stacked theta rotations (one ``eigh`` of S_y) times the S_z phases, so the
+    grid is one einsum over (n_theta, 4, n_phi) coherent states.
     """
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     mvals = np.array([1.5, 0.5, -0.5, -1.5])
     phase = np.exp(-1j * np.outer(mvals, phis))  # (4, n_phi)
-    values = np.empty((n_theta, n_phi))
-    for i, th in enumerate(thetas):
-        psi_th = rotation_operator(th, 0.0)[:, 0]
-        psi = psi_th[:, None] * phase
-        values[i] = np.real(np.einsum("ap,ab,bp->p", psi.conj(), rho, psi))
+    psi = rotation_operator(thetas, 0.0)[:, :, 0, None] * phase
+    values = np.real(np.einsum("tap,ab,tbp->tp", psi.conj(), rho, psi))
     return HusimiGrid(thetas=thetas, phis=phis, values=values)
 
 

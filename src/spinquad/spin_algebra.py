@@ -141,16 +141,23 @@ def hermitian_eig(m: np.ndarray, htol: float = 1e-10) -> EigenSystem:
     return EigenSystem(energies=w, vectors=_phase_fix(v))
 
 
-def expm_hermitian(generator: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * G) for Hermitian G via eigendecomposition (exact for 4x4)."""
+def expm_hermitian(generator: np.ndarray, scale=1.0) -> np.ndarray:
+    """exp(scale * G) for Hermitian G via eigendecomposition (exact for 4x4).
+
+    An array of scales gives the stack of exponentials, its shape leading,
+    from one ``eigh``.
+    """
     g = np.asarray(generator, dtype=complex)
     w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    return (v * np.exp(np.multiply.outer(scale, w))[..., None, :]) @ v.conj().T
 
 
-def rotation_operator(theta: float, phi: float) -> np.ndarray:
-    """Spin rotation U = exp(-i phi S_z) exp(-i theta S_y)."""
+def rotation_operator(theta, phi: float) -> np.ndarray:
+    """Spin rotation U = exp(-i phi S_z) exp(-i theta S_y).
+
+    An array of theta gives the stack of rotations, theta's shape leading.
+    """
     ops = make_spin_operators()
     uz = np.diag(np.exp(-1j * phi * np.diag(ops.sz).real))
-    uy = expm_hermitian(ops.sy, scale=-1j * theta)
+    uy = expm_hermitian(ops.sy, scale=-1j * np.asarray(theta))
     return uz @ uy

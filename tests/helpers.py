@@ -24,7 +24,7 @@ from spinquad.kinetics import (
 )
 from spinquad.odmr import drive_superoperator, mw_response
 from spinquad.rate_model import rate_model_lines
-from spinquad.spin_algebra import commutator, make_spin_operators
+from spinquad.spin_algebra import commutator, make_spin_operators, rotation_operator
 
 UPPER_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -69,6 +69,20 @@ def probe_columns(fn):
 def loop_generator(center, rates, bx):
     """Reference for ``build_generator``: kinetic_rhs probed column by column."""
     return probe_columns(lambda s: kinetic_rhs(center, rates, bx, s))
+
+
+def loop_husimi(rho, n_theta=91, n_phi=181):
+    """Reference for ``multipoles.husimi``: the grid values, one theta row per rotation."""
+    thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
+    phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
+    mvals = np.array([1.5, 0.5, -0.5, -1.5])
+    phase = np.exp(-1j * np.outer(mvals, phis))  # (4, n_phi)
+    values = np.empty((n_theta, n_phi))
+    for i, th in enumerate(thetas):
+        psi_th = rotation_operator(th, 0.0)[:, 0]
+        psi = psi_th[:, None] * phase
+        values[i] = np.real(np.einsum("ap,ab,bp->p", psi.conj(), rho, psi))
+    return values
 
 
 def loop_drive_superoperator(center, drive):

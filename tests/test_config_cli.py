@@ -10,10 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import loop_csv_text
-from spinquad import cli
+from helpers import loop_csv_text, loop_generator
+from spinquad import cli, kinetics
 from spinquad.cli import _jsonable, json_text, main, write_csv
-from spinquad.config import ConfigError, default_tree, load_config, validate_config
+from spinquad.config import (
+    HUSIMI_MAX_POINTS,
+    ConfigError,
+    default_tree,
+    load_config,
+    validate_config,
+)
 from spinquad.multipoles import model_peak_areas
 
 
@@ -103,10 +109,26 @@ def test_config_round_trip(overrides, tmp_path):
     ("extract.calibrated=0.5", "extract.calibrated must be true or false, got 0.5"),
     ("extract.calibrated=1", "extract.calibrated must be true or false, got 1"),
     ("extract.calibrated=null", "extract.calibrated must be true or false, got null"),
+    ('drive.freq={"a":1}', 'drive.freq must be a number, got {"a": 1}'),
+    ('center.d_g="abc"', 'center.d_g must be a number, got "abc"'),
+    ("center.d_g=null", "center.d_g must be a number, got null"),
+    ("rates.pump=[1]", "rates.pump must be a number, got [1]"),
+    ('sweep.field.steps="abc"', 'sweep.field.steps must be a number, got "abc"'),
+    ('husimi.n_phi="9"', 'husimi.n_phi must be a number, got "9"'),
+    ("drive.b1={}", "drive.b1 must be a number or a complex string, got {}"),
+    # the grid is rejected from its size, never allocated
+    ("husimi.n_theta=1000000000",
+     "husimi.n_theta * husimi.n_phi = 181000000000 exceeds 1000000 grid points"),
+    ("husimi.n_theta=5525", "husimi.n_theta * husimi.n_phi = 1000025 exceeds 1000000 grid points"),
 ])
 def test_schema_errors_exit2(override, message, capsys):
     assert main(["validate", "--set", override]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_husimi_grid_cap_is_inclusive():
+    cfg = load_config(None, [f"husimi.n_theta={HUSIMI_MAX_POINTS // 1000}", "husimi.n_phi=1000"])
+    assert cfg.husimi_n_theta * cfg.husimi_n_phi == HUSIMI_MAX_POINTS
 
 
 def test_readme_config_block_is_the_defaults():
@@ -473,6 +495,13 @@ def test_write_csv_matches_value_loop(tmp_path):
     columns = [c[:1] for c in columns]
     write_csv(path, "test", names, columns, meta)
     assert path.read_text() == loop_csv_text("test", names, list(zip(*columns)), meta)
+    # a mostly distinct column (one repeat in 1000 rows, -0.0 next to 0.0)
+    # beside a repeating one and one with exactly half its values distinct
+    mostly = rng.normal(size=1000) * 10.0 ** rng.integers(-30, 30, 1000)
+    mostly[[1, 7, 8]] = mostly[0], -0.0, 0.0
+    columns = [mostly, np.repeat(np.arange(10.0), 100), np.repeat(rng.normal(size=500), 2)]
+    write_csv(path, "test", ["m", "r", "h"], columns, meta)
+    assert path.read_text() == loop_csv_text("test", ["m", "r", "h"], list(zip(*columns)), meta)
 
 
 _JSON_TEXT = st.text() | st.sampled_from([", ", "a, b", "é, ✓"])
@@ -546,6 +575,24 @@ def test_husimi_zero_field_writes_the_reference_bytes(tmp_path):
     text = (out / "husimi.json").read_text()
     doc = {"meta": json.loads(text)["meta"], "data": _jsonable(data)}
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_sweep_tables_keep_their_bytes_on_probed_generators(tmp_path, monkeypatch):
+    # multipoles and levels written from the affine generator stack equal
+    # those written from kinetic_rhs probed column by column at every field
+    argv = ["--set", "sweep.field.min=-1", "--set", "sweep.field.max=15",
+            "--set", "sweep.field.steps=13", "--set", "center.g_factor_e=2.3"]
+    tables = {}
+    for side in ("affine", "probed"):
+        if side == "probed":
+            monkeypatch.setattr(kinetics, "generator_stack", lambda center, rates, fields: np.array(
+                [loop_generator(center, rates, float(bx)) for bx in np.ravel(fields)]))
+        for subcommand in ("multipoles", "levels"):
+            out = tmp_path / side / subcommand
+            assert main([subcommand, "--out", str(out), *argv]) == 0
+            tables[side, subcommand] = (out / f"{subcommand}.csv").read_bytes()
+    for subcommand in ("multipoles", "levels"):
+        assert tables["affine", subcommand] == tables["probed", subcommand]
 
 
 def _loaded_by_cli_import(prefix):

@@ -105,14 +105,18 @@ def test_generator_matches_column_loop():
 
 
 def test_generator_stack_matches_column_loop():
-    # one probe over a field grid: every slice equals the column-by-column
-    # generator at that field, signs of zeros included
+    # G(0) plus the Zeeman term over a field grid: every slice equals the
+    # column-by-column generator at that field, signs of zeros included,
+    # also with a decoupled excited-state g-factor and at tiny and subnormal
+    # fields
     rng = np.random.default_rng(22)
-    for _ in range(5):
+    for k in range(9):
+        g_e = float(rng.uniform(1.5, 2.5)) if k >= 5 else None
         center = CenterParams(d_g=float(rng.uniform(5, 100)), d_e=float(rng.uniform(50, 400)),
-                              g_factor=float(rng.uniform(1.5, 2.5)))
+                              g_factor=float(rng.uniform(1.5, 2.5)), g_factor_e=g_e)
         rates = random_valid_rates(rng)
-        fields = np.concatenate([[0.0, -0.0], rng.uniform(-20, 20, 7)])
+        fields = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 5e-324],
+                                 rng.uniform(-20, 20, 7)])
         stack = generator_stack(center, rates, fields)
         assert stack.shape == (fields.size, NDIM, NDIM) and stack.flags.c_contiguous
         for g, bx in zip(stack, fields):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian
+from helpers import loop_husimi
 from spinquad.hamiltonian import eigensystem
 from spinquad.kinetics import steady_state_at
 from spinquad.multipoles import (
@@ -95,6 +96,18 @@ def test_husimi_bounded_by_largest_eigenvalue(seed):
     lam = np.linalg.eigvalsh(rho)
     assert np.all(grid.values >= -1e-12)
     assert np.max(grid.values) <= lam[-1] + 1e-9
+
+
+@pytest.mark.parametrize("bx", [0.0, 7.0, 15.0])
+def test_husimi_matches_row_loop(center, rates, bx):
+    # one stacked rotation and one einsum give the per-row values bit for bit
+    s = steady_state_at(center, rates, bx)
+    for rho in (s.rho_g, s.rho_e):
+        for grid in ((91, 181), (7, 9), (1, 1)):
+            values, ref = husimi(rho, *grid).values, loop_husimi(rho, *grid)
+            assert values.shape == grid
+            assert np.array_equal(values, ref)
+            assert np.array_equal(np.signbit(values), np.signbit(ref))
 
 
 def test_populations_zero_gives_zero():

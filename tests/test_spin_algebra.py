@@ -153,6 +153,17 @@ def test_rotation_unitary_random_angles():
         assert np.max(np.abs(u.conj().T @ u - EYE)) < 1e-10
 
 
+def test_rotation_stack_is_per_angle():
+    # an array of theta gives the per-angle rotations bit for bit
+    thetas = np.concatenate([[0.0, np.pi], np.random.default_rng(43).uniform(0, np.pi, 9)])
+    for phi in (0.0, 1.3):
+        stack = rotation_operator(thetas, phi)
+        assert stack.shape == (thetas.size, 4, 4)
+        for u, theta in zip(stack, thetas):
+            assert np.array_equal(u, rotation_operator(float(theta), phi))
+    assert rotation_operator(thetas.reshape(1, -1), 0.0).shape == (1, thetas.size, 4, 4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_expm_skew_hermitian_is_unitary(seed):
