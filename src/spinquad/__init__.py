@@ -10,7 +10,6 @@ from .kinetics import (
     pl_intensity,
     steady_state,
     steady_state_at,
-    time_evolve,
 )
 from .multipoles import dipole_x, extract_from_peak_areas, husimi, quadrupole
 from .odmr import DriveParams, OdmrResult, mw_response, odmr_map, odmr_spectrum
@@ -50,7 +49,6 @@ __all__ = [
     "solve_population_variations",
     "steady_state",
     "steady_state_at",
-    "time_evolve",
     "transfer_matrices",
     "transition_table",
 ]

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config, validate_config
+from .config import MAP_MAX_POINTS, ConfigError, RunConfig, load_config, validate_config
 from .hamiltonian import crossover_fields
 from .kinetics import DegenerateKernel, level_report, steady_state_at, steady_states
 from .multipoles import (
@@ -239,6 +239,10 @@ def _cmd_spectrum(cfg: RunConfig, args):
 
 
 def _cmd_map(cfg: RunConfig, args):
+    points = cfg.field_grid.steps * cfg.freq_grid.steps
+    if points > MAP_MAX_POINTS:
+        raise ConfigError(f"sweep.field.steps * sweep.freq.steps = {points} "
+                          f"exceeds {MAP_MAX_POINTS} grid points")
     res = odmr_map(
         cfg.center, cfg.rates, cfg.drive, cfg.freq_grid.values(), cfg.field_grid.values(),
         jobs=args.jobs,

@@ -26,6 +26,13 @@ from .odmr import DriveParams
 # each; at the cap a `husimi` run peaks near 320 MB, its CSV writes included.
 HUSIMI_MAX_POINTS = 1_000_000
 
+# Largest sweep grids, sized like the Husimi cap.  ``validate_config`` caps
+# each axis; `map` caps the product where it builds its field x freq table.
+# At the caps `levels` peaks near 300 MB and `map` near 320-350 MB.
+FIELD_MAX_STEPS = 60_000
+FREQ_MAX_STEPS = 100_000
+MAP_MAX_POINTS = 900_000
+
 
 class ConfigError(ValueError):
     """Configuration file or override is invalid."""
@@ -68,7 +75,8 @@ class RunConfig:
         if isinstance(drive["b1"], complex) and drive["b1"].imag == 0:
             drive["b1"] = drive["b1"].real
         return {
-            "center": {**asdict(self.center), "gyro_e": self.center.gyro_of("e")},
+            "center": {**asdict(self.center), "gyro": self.center.gyro,
+                       "gyro_e": self.center.gyro_of("e")},
             "rates": asdict(self.rates),
             "drive": drive,
             "sweep": {"field": asdict(self.field_grid), "freq": asdict(self.freq_grid)},
@@ -222,6 +230,10 @@ def validate_config(cfg: RunConfig) -> tuple[list[str], list[str]]:
             f"husimi.n_theta * husimi.n_phi = {cfg.husimi_n_theta * cfg.husimi_n_phi} "
             f"exceeds {HUSIMI_MAX_POINTS} grid points"
         )
+    for key, grid, cap in (("sweep.field.steps", cfg.field_grid, FIELD_MAX_STEPS),
+                           ("sweep.freq.steps", cfg.freq_grid, FREQ_MAX_STEPS)):
+        if grid.steps > cap:
+            errors.append(f"{key} = {grid.steps} exceeds {cap} grid points")
     if cfg.out_format not in ("csv", "json", "both"):
         errors.append(f"unknown output format '{cfg.out_format}'")
 

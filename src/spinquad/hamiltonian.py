@@ -8,11 +8,11 @@ default center (D_g = 35 MHz, D_e = 220 MHz, g = 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_algebra import EigenSystem, hermitian_eig, make_spin_operators
+from .spin_algebra import UPPER_COLS, UPPER_ROWS, EigenSystem, hermitian_eig, make_spin_operators
 
 # Bohr magneton over Planck constant, in MHz per mT.
 MU_B_OVER_H = 13.9962
@@ -23,30 +23,24 @@ class CenterParams:
     """Zero-field splittings (MHz) and g-factor of the defect.
 
     ``g_factor_e`` optionally decouples the excited-state g-factor; by default
-    both levels share ``g_factor``.  ``gyro`` (MHz/mT) is derived unless given
-    explicitly, in which case it must be consistent with the g-factor.
+    both levels share ``g_factor``.
     """
 
     d_g: float = 35.0
     d_e: float = 220.0
     g_factor: float = 2.0
     g_factor_e: float | None = None
-    gyro: float = field(default=0.0)
 
     def __post_init__(self):
         if self.d_g <= 0 or self.d_e <= 0:
             raise ValueError("zero-field splittings must be positive")
-        if self.gyro == 0.0:
-            object.__setattr__(self, "gyro", self.g_factor * MU_B_OVER_H)
-        else:
-            expected = self.g_factor * MU_B_OVER_H
-            if abs(self.gyro - expected) > 1e-4 * expected:
-                raise ValueError(
-                    f"gyro={self.gyro} inconsistent with g_factor={self.g_factor} "
-                    f"(expected {expected:.6f} MHz/mT)"
-                )
         if self.gyro <= 0:
             raise ValueError("gyro must be positive")
+
+    @property
+    def gyro(self) -> float:
+        """Ground-state gyromagnetic ratio g * mu_B / h, MHz/mT."""
+        return self.g_factor * MU_B_OVER_H
 
     def splitting(self, level: str) -> float:
         return self.d_g if level == "g" else self.d_e
@@ -87,7 +81,11 @@ def eigensystem(level: str, params: CenterParams, bx) -> EigenSystem:
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """The six i<j transitions of one level: frequencies and |<i|S_drive|j>|^2."""
+    """The six i<j transitions of one level: frequencies and |<i|S_drive|j>|^2.
+
+    ``i`` and ``j`` are the shared ``UPPER_ROWS`` and ``UPPER_COLS``, so the
+    pair (i, j) sits at row-major index i*(7 - i)/2 + j - i - 1.
+    """
 
     level: str
     bx: float
@@ -99,10 +97,10 @@ class TransitionTable:
     def lookup(self, i: int, j: int) -> tuple[float, float]:
         """(freq, m2) of the i<->j transition (order-insensitive)."""
         lo, hi = min(i, j), max(i, j)
-        for k in range(6):
-            if self.i[k] == lo and self.j[k] == hi:
-                return float(self.freq[k]), float(self.m2[k])
-        raise KeyError((i, j))
+        if not 0 <= lo < hi <= 3:
+            raise KeyError((i, j))
+        k = lo * (7 - lo) // 2 + hi - lo - 1
+        return float(self.freq[k]), float(self.m2[k])
 
 
 def transition_table(
@@ -116,44 +114,17 @@ def transition_table(
     es = eigensystem(level, params, bx)
     if drive_op is None:
         drive_op = make_spin_operators().sy
-    vmat = es.vectors
-    m_eig = vmat.conj().T @ drive_op @ vmat
-    ii, jj, freqs, m2s = [], [], [], []
-    for a in range(4):
-        for b in range(a + 1, 4):
-            ii.append(a)
-            jj.append(b)
-            freqs.append(es.energies[a] - es.energies[b])
-            m2s.append(abs(m_eig[a, b]) ** 2)
+    m_eig = es.vectors.conj().T @ drive_op @ es.vectors
     return TransitionTable(
         level=level,
         bx=bx,
-        i=np.array(ii),
-        j=np.array(jj),
-        freq=np.array(freqs),
-        m2=np.array(m2s),
+        i=UPPER_ROWS,
+        j=UPPER_COLS,
+        freq=es.energies[UPPER_ROWS] - es.energies[UPPER_COLS],
+        m2=np.abs(m_eig[UPPER_ROWS, UPPER_COLS]) ** 2,
     )
 
 
 def crossover_fields(params: CenterParams) -> tuple[float, float]:
     """Fields (mT) where the Zeeman energy equals the zero-field splitting."""
     return params.d_g / params.gyro, params.d_e / params.gyro_of("e")
-
-
-def level_sweep(level: str, params: CenterParams, b_grid) -> list[EigenSystem]:
-    """Eigen-systems for every field in ``b_grid`` (mT), from one stacked call."""
-    b_grid = np.asarray(b_grid, dtype=float).reshape(-1)
-    if b_grid.size == 0:
-        raise ValueError("field grid must be nonempty")
-    es = eigensystem(level, params, b_grid)
-    return [EigenSystem(energies=e, vectors=v) for e, v in zip(es.energies, es.vectors)]
-
-
-def asymptotic_labels(level: str, params: CenterParams, bx: float) -> list[str]:
-    """Label eigenstates by their S_x projection in the large-field limit.
-
-    Adiabatic continuation in descending-energy order: (+3/2, +1/2, -1/2, -3/2)
-    along x for B -> infinity.
-    """
-    _check_level(level)
-    return ["+3/2_x", "+1/2_x", "-1/2_x", "-3/2_x"]

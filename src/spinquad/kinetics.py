@@ -36,12 +36,9 @@ from functools import cache
 import numpy as np
 
 from .hamiltonian import CenterParams, build_hamiltonian, eigensystem
-from .spin_algebra import commutator, make_spin_operators, sym_anticommutator
+from .spin_algebra import UPPER_COLS, UPPER_ROWS, commutator, make_spin_operators, sym_anticommutator
 
 TWO_PI = 2.0 * np.pi
-
-# Fixed row-major ordering of the 6 upper-triangle index pairs of a 4x4.
-UPPER_ROWS, UPPER_COLS = np.triu_indices(4, 1)
 
 NDIM = 33  # 16 (rho_g) + 16 (rho_e) + 1 (N_m)
 
@@ -379,26 +376,6 @@ def steady_states(center: CenterParams, rates: RateParams, fields) -> SpinState:
     """Steady states over a 1-D field grid, as one batch with a leading field axis."""
     coords = [x for _, x, _ in sweep_blocks(center, rates, fields)]
     return coords_to_state(np.concatenate([np.empty((0, NDIM)), *coords]))
-
-
-def time_evolve(gen: GeneratorMatrix, s0: SpinState, t: float) -> SpinState:
-    """Propagate s0 by exp(G t); exact for this linear system."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    x0 = state_to_coords(s0)
-    if t == 0.0:
-        return coords_to_state(x0)
-    # Split long horizons so the scaling-squaring in expm stays well inside
-    # its accurate regime even when 2*pi*D_e*t is huge.
-    gnorm = np.linalg.norm(gen.matrix, ord=np.inf)
-    n_seg = max(1, int(np.ceil(gnorm * t / 1e4)))
-    import scipy.linalg  # deferred: no CLI subcommand evolves in time
-
-    prop = scipy.linalg.expm(gen.matrix * (t / n_seg))
-    x = x0
-    for _ in range(n_seg):
-        x = prop @ x
-    return coords_to_state(x)
 
 
 def pl_intensity(rates: RateParams, s: SpinState) -> float:

@@ -26,20 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import CenterParams, transition_table
+from .hamiltonian import CenterParams
 from .kinetics import RateParams, steady_state_at
 from .rate_model import (
     TransferMatrices,
-    mw_population_kick,
+    line_intensities,
     odmr_line_intensity,
     solve_population_variations,
     transfer_matrices,
+    transition_tables,
+    unit_kick,
 )
 from .spin_algebra import make_spin_operators, rotation_operator
 
 GS_TRANSITIONS = ((0, 1), (1, 2), (2, 3))
 ES_OBSERVED = ((0, 3), (1, 2))
 ES_ZERO = ((0, 1), (0, 2), (1, 3), (2, 3))
+GS_LINES = tuple(("g", i, j) for i, j in GS_TRANSITIONS)
 
 
 class ZeroTrace(ValueError):
@@ -176,22 +179,13 @@ class ExtractionResult:
     calibrated: bool
 
 
-def _unit_kick(i: int, j: int, m2: float) -> np.ndarray:
-    kick = np.zeros(4)
-    kick[i] = m2
-    kick[j] = -m2
-    return kick
-
-
 def _design_row(
     rates: RateParams, tm: TransferMatrices, tt, level: str, i: int, j: int
 ) -> np.ndarray:
     """Row r with r @ df = modeled area of transition (i, j)."""
-    _, m2 = tt.lookup(i, j)
-    coeff = odmr_line_intensity(rates, tm, _unit_kick(i, j, m2), level)
+    coeff = odmr_line_intensity(rates, tm, unit_kick(tt, i, j), level)
     row = np.zeros(4)
-    row[j] = coeff
-    row[i] = -coeff
+    row[j], row[i] = coeff, -coeff
     return row
 
 
@@ -203,17 +197,9 @@ def _solve_level(
     observed: dict,
     zero_transitions=(),
 ) -> tuple[np.ndarray, float]:
-    rows, rhs = [], []
-    for (i, j), area in sorted(observed.items()):
-        rows.append(_design_row(rates, tm, tt, level, i, j))
-        rhs.append(area)
-    for i, j in zero_transitions:
-        rows.append(_design_row(rates, tm, tt, level, i, j))
-        rhs.append(0.0)
-    rows.append(np.ones(4))
-    rhs.append(0.0)
-    a = np.array(rows)
-    b = np.array(rhs)
+    targets = sorted(observed.items()) + [(ij, 0.0) for ij in zero_transitions]
+    a = np.array([_design_row(rates, tm, tt, level, *ij) for ij, _ in targets] + [np.ones(4)])
+    b = np.array([area for _, area in targets] + [0.0])
     if np.linalg.matrix_rank(a, tol=1e-12 * max(np.max(np.abs(a)), 1e-300)) < 4:
         raise SingularExtraction(
             f"{level.upper()} design matrix is rank-deficient (degenerate matrix elements)"
@@ -231,17 +217,15 @@ def model_peak_areas(
     The ES population is taken from the full kinetic model's steady state.
     """
     tm = transfer_matrices(center, bx)
-    n_e = steady_state_at(center, rates, bx).n_e
-    pv = solve_population_variations(rates, tm, n_e)
-    out = []
-    for level, trans in (("g", GS_TRANSITIONS), ("e", ES_OBSERVED)):
-        tt = transition_table(level, center, bx)
-        areas = {}
-        for i, j in trans:
-            kick = mw_population_kick(tt, pv, level, i, j)
-            areas[(i, j)] = odmr_line_intensity(rates, tm, kick, level)
-        out.append(PeakAreaSet(level=level, areas=areas, field=bx))
-    return out[0], out[1]
+    pv = solve_population_variations(rates, tm, steady_state_at(center, rates, bx).n_e)
+    lines = line_intensities(
+        rates, tm, pv, transition_tables(center, bx),
+        GS_LINES + tuple(("e", i, j) for i, j in ES_OBSERVED),
+    )
+    return tuple(
+        PeakAreaSet(level, {(i, j): a for (lv, i, j), a in lines.items() if lv == level}, bx)
+        for level in ("g", "e")
+    )
 
 
 def extract_from_peak_areas(
@@ -269,18 +253,18 @@ def extract_from_peak_areas(
             stacklevel=2,
         )
     tm = transfer_matrices(center, bx)
-    tt_g = transition_table("g", center, bx)
-    tt_e = transition_table("e", center, bx)
+    tables = transition_tables(center, bx)
 
-    df_g, res_g = _solve_level(rates, tm, tt_g, "g", gs.areas)
-    df_e, res_e = _solve_level(rates, tm, tt_e, "e", es.areas, zero_transitions=ES_ZERO)
+    df_g, res_g = _solve_level(rates, tm, tables["g"], "g", gs.areas)
+    df_e, res_e = _solve_level(rates, tm, tables["e"], "e", es.areas, zero_transitions=ES_ZERO)
 
     n_g = n_e = 1.0
     if calibrated:
+        # the model's GS areas from this call's own matrices, tables and state
         state = steady_state_at(center, rates, bx)
         n_g, n_e = state.n_g, state.n_e
-        model_gs, _ = model_peak_areas(center, rates, bx)
-        total_model = sum(abs(v) for v in model_gs.areas.values())
+        pv = solve_population_variations(rates, tm, n_e)
+        total_model = sum(map(abs, line_intensities(rates, tm, pv, tables, GS_LINES).values()))
         total_input = sum(abs(v) for v in gs.areas.values())
         scale = total_model / total_input if total_input > 0 else 0.0
         df_g = df_g * scale

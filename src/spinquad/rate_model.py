@@ -127,6 +127,16 @@ def balance_residual(rates: RateParams, tm: TransferMatrices, pv: PopulationVari
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
+def unit_kick(tt: TransitionTable, i: int, j: int) -> np.ndarray:
+    """The kick of a unit df_j - df_i on transition i<->j: |M_ij|^2 at i, -|M_ij|^2 at j."""
+    if i == j:
+        raise ValueError("i and j must differ")
+    _, m2 = tt.lookup(i, j)
+    kick = np.zeros(4)
+    kick[i], kick[j] = m2, -m2
+    return kick
+
+
 def mw_population_kick(
     tt: TransitionTable, pv: PopulationVariation, level: str, i: int, j: int
 ) -> np.ndarray:
@@ -136,15 +146,8 @@ def mw_population_kick(
     nonzero entries are opposite, so the kick conserves the level population.
     Indices are 0-based descending-energy eigenstate numbers.
     """
-    if i == j:
-        raise ValueError("i and j must differ")
     df = pv.df_g if level == "g" else pv.df_e
-    _, m2 = tt.lookup(i, j)
-    kick = np.zeros(4)
-    amp = m2 * (df[j] - df[i])
-    kick[i] = amp
-    kick[j] = -amp
-    return kick
+    return (df[j] - df[i]) * unit_kick(tt, i, j)
 
 
 def odmr_line_intensity(
@@ -166,12 +169,24 @@ def odmr_line_intensity(
     return float(-rates.eta_e * D0 @ tm.t_0e @ propagated)
 
 
+def transition_tables(center: CenterParams, bx: float) -> dict:
+    """{level: transition_table(level, center, bx)} for both levels."""
+    return {level: transition_table(level, center, bx) for level in ("g", "e")}
+
+
+def line_intensities(
+    rates: RateParams, tm: TransferMatrices, pv: PopulationVariation, tables: dict, keys
+) -> dict:
+    """{(level, i, j): line intensity of the MW kick of ``pv``} in the order of ``keys``.
+
+    ``tables`` maps each level to its ``transition_table`` at the field of ``tm``.
+    """
+    kicks = {(lv, i, j): mw_population_kick(tables[lv], pv, lv, i, j) for lv, i, j in keys}
+    return {key: odmr_line_intensity(rates, tm, kick, key[0]) for key, kick in kicks.items()}
+
+
 def rate_model_lines(
-    center: CenterParams,
-    rates: RateParams,
-    bx: float,
-    n_e: float,
-    m2_floor: float = 1e-9,
+    center: CenterParams, rates: RateParams, bx: float, n_e: float, m2_floor: float = 1e-9
 ) -> dict:
     """All secular ODMR lines at one field: {(level, i, j): (freq, intensity)}.
 
@@ -180,19 +195,15 @@ def rate_model_lines(
     steady state, which is the single source of truth for it).
     """
     tm = transfer_matrices(center, bx)
-    pv = solve_population_variations(rates, tm, n_e)
-    lines = {}
-    for level in ("g", "e"):
-        tt = transition_table(level, center, bx)
-        for i, j, freq, m2 in zip(tt.i, tt.j, tt.freq, tt.m2):
-            if m2 < m2_floor or freq <= 0:
-                continue
-            kick = mw_population_kick(tt, pv, level, int(i), int(j))
-            lines[(level, int(i), int(j))] = (
-                float(freq),
-                odmr_line_intensity(rates, tm, kick, level),
-            )
-    return lines
+    tables = transition_tables(center, bx)
+    freqs = {
+        (level, int(i), int(j)): float(freq)
+        for level, tt in tables.items()
+        for i, j, freq, m2 in zip(tt.i, tt.j, tt.freq, tt.m2)
+        if m2 >= m2_floor and freq > 0
+    }
+    lines = line_intensities(rates, tm, solve_population_variations(rates, tm, n_e), tables, freqs)
+    return {key: (freqs[key], value) for key, value in lines.items()}
 
 
 def small_field_x(b_g: float) -> float:

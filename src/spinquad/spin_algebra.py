@@ -19,6 +19,14 @@ SQRT3 = np.sqrt(3.0)
 # Relative gap below which two eigenvalues are treated as degenerate.
 DEGENERACY_RTOL = 1e-9
 
+# Largest max|m - m^dag|, relative to max(max|m|, 1), that ``hermitian_eig`` accepts.
+HERMITIAN_RTOL = 1e-10
+
+# The six i<j index pairs of a 4x4 in row-major order: the transitions of a
+# level and the off-diagonal coordinates of a density matrix.  Read-only.
+UPPER_ROWS, UPPER_COLS = np.triu_indices(4, 1)
+UPPER_ROWS.flags.writeable = UPPER_COLS.flags.writeable = False
+
 
 class NotHermitian(ValueError):
     """Input matrix deviates from its conjugate transpose beyond tolerance."""
@@ -102,7 +110,7 @@ def _tie_break(v: np.ndarray, cluster: np.ndarray) -> None:
         v[:, cluster] = np.column_stack(chosen)
 
 
-def hermitian_eig(m: np.ndarray, htol: float = 1e-10) -> EigenSystem:
+def hermitian_eig(m: np.ndarray) -> EigenSystem:
     """Diagonalize a Hermitian 4x4, or a (..., 4, 4) stack, with descending energies.
 
     A stack goes through one batched ``eigh``, bitwise the same as matrix by
@@ -111,18 +119,18 @@ def hermitian_eig(m: np.ndarray, htol: float = 1e-10) -> EigenSystem:
     in basis order, so a diagonal input returns canonical basis vectors
     exactly.  All columns are phase-fixed (largest component real positive).
 
-    Raises NotHermitian if max|m - m^dag| of a matrix exceeds ``htol``
+    Raises NotHermitian if max|m - m^dag| of a matrix exceeds ``HERMITIAN_RTOL``
     (relative to its scale).
     """
     m = np.asarray(m, dtype=complex)
     m_h = np.swapaxes(m, -1, -2).conj()
-    scale = np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
+    limit = HERMITIAN_RTOL * np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
     dev = np.max(np.abs(m - m_h), axis=(-2, -1))
-    over = dev > htol * scale
+    over = dev > limit
     if np.any(over):
         k = np.argmax(over)
         raise NotHermitian(
-            f"max|m - m^dag| = {dev.flat[k]:.3e} exceeds tolerance {htol * scale.flat[k]:.3e}"
+            f"max|m - m^dag| = {dev.flat[k]:.3e} exceeds tolerance {limit.flat[k]:.3e}"
         )
 
     w, v = np.linalg.eigh((m + m_h) / 2.0)  # ascending

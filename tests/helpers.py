@@ -9,6 +9,7 @@ rate expressions.
 from dataclasses import replace
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad
 
 from spinquad.cli import SCHEMA_TAG
@@ -18,7 +19,9 @@ from spinquad.kinetics import (
     RateParams,
     SpinState,
     build_generator,
+    coords_to_state,
     kinetic_rhs,
+    state_to_coords,
     steady_state,
     trace_functional,
 )
@@ -105,6 +108,24 @@ def lstsq_steady_coords(g):
     b[-1] = 1.0
     x, *_ = np.linalg.lstsq(np.vstack([g, t_row]), b, rcond=None)
     return x / (t_row @ x)
+
+
+def time_evolve(gen, s0, t):
+    """Propagate s0 by exp(G t); exact for this linear system."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    x0 = state_to_coords(s0)
+    if t == 0.0:
+        return coords_to_state(x0)
+    # Split long horizons so the scaling-squaring in expm stays well inside
+    # its accurate regime even when 2*pi*D_e*t is huge.
+    gnorm = np.linalg.norm(gen.matrix, ord=np.inf)
+    n_seg = max(1, int(np.ceil(gnorm * t / 1e4)))
+    prop = scipy.linalg.expm(gen.matrix * (t / n_seg))
+    x = x0
+    for _ in range(n_seg):
+        x = prop @ x
+    return coords_to_state(x)
 
 
 def _fmt(x) -> str:

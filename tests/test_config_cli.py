@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -14,7 +15,10 @@ from helpers import loop_csv_text, loop_generator
 from spinquad import cli, kinetics
 from spinquad.cli import _jsonable, json_text, main, write_csv
 from spinquad.config import (
+    FIELD_MAX_STEPS,
+    FREQ_MAX_STEPS,
     HUSIMI_MAX_POINTS,
+    MAP_MAX_POINTS,
     ConfigError,
     default_tree,
     load_config,
@@ -120,6 +124,13 @@ def test_config_round_trip(overrides, tmp_path):
     ("husimi.n_theta=1000000000",
      "husimi.n_theta * husimi.n_phi = 181000000000 exceeds 1000000 grid points"),
     ("husimi.n_theta=5525", "husimi.n_theta * husimi.n_phi = 1000025 exceeds 1000000 grid points"),
+    ("sweep.freq.steps=1000000000", "sweep.freq.steps = 1000000000 exceeds 100000 grid points"),
+    ("sweep.freq.steps=100001", "sweep.freq.steps = 100001 exceeds 100000 grid points"),
+    ("sweep.field.steps=1000000000", "sweep.field.steps = 1000000000 exceeds 60000 grid points"),
+    ("sweep.field.steps=60001", "sweep.field.steps = 60001 exceeds 60000 grid points"),
+    ("output.format=xml", "unknown output format 'xml'"),
+    ("husimi.n_theta=1", "husimi grids need at least 2 points per axis"),
+    ("sweep.field.steps=0", "grid needs steps >= 1, got 0"),
 ])
 def test_schema_errors_exit2(override, message, capsys):
     assert main(["validate", "--set", override]) == 2
@@ -129,6 +140,31 @@ def test_schema_errors_exit2(override, message, capsys):
 def test_husimi_grid_cap_is_inclusive():
     cfg = load_config(None, [f"husimi.n_theta={HUSIMI_MAX_POINTS // 1000}", "husimi.n_phi=1000"])
     assert cfg.husimi_n_theta * cfg.husimi_n_phi == HUSIMI_MAX_POINTS
+
+
+def test_sweep_grid_caps_are_inclusive():
+    cfg = load_config(None, [f"sweep.field.steps={FIELD_MAX_STEPS}",
+                             f"sweep.freq.steps={FREQ_MAX_STEPS}"])
+    assert (cfg.field_grid.steps, cfg.freq_grid.steps) == (FIELD_MAX_STEPS, FREQ_MAX_STEPS)
+
+
+def test_map_rejects_its_table_size_before_computing(tmp_path, monkeypatch, capsys):
+    # a stand-in for odmr_map shows where the check sits: at the cap the map
+    # reaches it (its MemoryError exits 3), one row above the cap it does not
+    def stand_in(*args, **kwargs):
+        raise MemoryError("stand-in for the map computation")
+
+    monkeypatch.setattr(cli, "odmr_map", stand_in)
+    n_freq = 1000
+    for n_field, code in ((MAP_MAX_POINTS // n_freq, 3), (MAP_MAX_POINTS // n_freq + 1, 2)):
+        argv = ["map", "--out", str(tmp_path / "o"), "--set", f"sweep.field.steps={n_field}",
+                "--set", f"sweep.freq.steps={n_freq}"]
+        assert main(argv) == code
+    points = (MAP_MAX_POINTS // n_freq + 1) * n_freq
+    assert capsys.readouterr().err.endswith(
+        f"config error: sweep.field.steps * sweep.freq.steps = {points} "
+        f"exceeds {MAP_MAX_POINTS} grid points\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_config_block_is_the_defaults():
@@ -151,6 +187,9 @@ def test_validate_cli_exit_codes(tmp_path, capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "OK (0 warning(s))" in out
+    # a complex b1 with no imaginary part resolves to a real number
+    assert main(["validate", "--set", 'drive.b1="0.01+0j"']) == 0
+    assert '"b1": 0.01,' in capsys.readouterr().out
     # eta out of range is a hard config error -> exit 2 before validate runs
     assert main(["validate", "--set", "rates.eta_e=1.5"]) == 2
 
@@ -608,6 +647,30 @@ def _loaded_by_cli_import(prefix):
 
 def test_import_cli_leaves_scipy_out():
     assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path, center, rates):
+    # the runtime is numpy-only: the declared dependencies name numpy alone,
+    # and with scipy unimportable every subcommand on a tiny grid exits 0
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    repo = Path(__file__).resolve().parent.parent
+    deps = tomllib.loads((repo / "pyproject.toml").read_text())["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
+    areas = tmp_path / "areas.json"
+    areas.write_text(json.dumps(_model_areas_doc(center, rates, 5.0)))
+    tiny = ["--set", "sweep.field.steps=2", "--set", "sweep.freq.steps=3",
+            "--set", "husimi.n_theta=3", "--set", "husimi.n_phi=4"]
+    extra = {"map": ["--jobs", "2"], "extract": [str(areas), "--set", "extract.calibrated=true"]}
+    runs = [[name, "--out", str(tmp_path / name), *tiny, *extra.get(name, [])]
+            for name in cli.COMMANDS]
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from spinquad.cli import main\n"
+            f"print([main(argv) for argv in {runs!r}])")
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([0] * len(cli.COMMANDS)), proc.stderr
 
 
 def test_import_cli_leaves_process_pool_out():

@@ -6,7 +6,6 @@ from spinquad.hamiltonian import (
     build_hamiltonian,
     crossover_fields,
     eigensystem,
-    level_sweep,
     transition_table,
 )
 
@@ -17,8 +16,8 @@ def test_center_params_defaults(center):
     assert center.gyro == pytest.approx(2.0 * 13.9962, rel=1e-12)
     with pytest.raises(ValueError):
         CenterParams(d_g=-1.0)
-    with pytest.raises(ValueError):
-        CenterParams(gyro=30.0)  # inconsistent with g_factor=2
+    with pytest.raises(TypeError):
+        CenterParams(gyro=30.0)  # gyro is derived from g_factor, not a field
 
 
 def test_gs_zero_field_is_diagonal(center):
@@ -76,6 +75,15 @@ def test_forbidden_transitions_any_field(center):
         assert tt.lookup(1, 3)[1] < 1e-10
 
 
+def test_transition_lookup_rejects_non_pairs(center):
+    # the index form must not wrap a negative index or accept a diagonal pair
+    tt = transition_table("g", center, 4.2)
+    assert tt.lookup(3, 1) == tt.lookup(1, 3) == (tt.freq[4], tt.m2[4])
+    for i, j in ((1, 1), (0, 4), (-1, 0)):
+        with pytest.raises(KeyError):
+            tt.lookup(i, j)
+
+
 def test_transition_table_invariants(center):
     for level in ("g", "e"):
         tt = transition_table(level, center, 4.2)
@@ -93,16 +101,13 @@ def test_crossover_fields(center):
 
 
 def test_level_sweep_zero_field(center):
-    (es,) = level_sweep("g", center, [0.0])
-    assert np.allclose(es.energies, [35.0, 35.0, -35.0, -35.0])
-    with pytest.raises(ValueError):
-        level_sweep("g", center, [])
+    es = eigensystem("g", center, [0.0])
+    assert np.allclose(es.energies[0], [35.0, 35.0, -35.0, -35.0])
 
 
 def test_level_sweep_continuity(center):
     grid = np.linspace(0.0, 10.0, 201)
-    sweeps = level_sweep("g", center, grid)
-    energies = np.array([s.energies for s in sweeps])
+    energies = eigensystem("g", center, grid).energies
     db = grid[1] - grid[0]
     bound = center.gyro * db * 1.5 * 2 + 1e-9
     assert np.max(np.abs(np.diff(energies, axis=0))) < bound
@@ -111,7 +116,7 @@ def test_level_sweep_continuity(center):
 def test_level_sweep_zeeman_asymptote(center):
     # leading correction to the Zeeman ladder is -/+ D/2 on the outer/inner
     # states, so the relative deviation shrinks as 1/B
-    (es,) = level_sweep("g", center, [2000.0])
+    es = eigensystem("g", center, 2000.0)
     zeeman = center.gyro * 2000.0 * np.array([1.5, 0.5, -0.5, -1.5])
     assert np.max(np.abs(es.energies - zeeman) / np.abs(zeeman)) < 1e-3
 
@@ -137,24 +142,15 @@ def test_separate_es_g_factor():
     assert c.gyro_of("g") == pytest.approx(2.0 * 13.9962)
 
 
-def test_asymptotic_labels(center):
-    from spinquad.hamiltonian import asymptotic_labels
-
-    labels = asymptotic_labels("g", center, 5.0)
-    assert labels == ["+3/2_x", "+1/2_x", "-1/2_x", "-3/2_x"]
-
-
 @pytest.mark.parametrize("level", ["g", "e"])
 def test_eigensystem_over_fields_is_per_field(center, level):
     # the stacked eigensystems of a 241-field grid are the one-field ones bit
     # for bit, and their energies are plain eigh's, descending
     fields = np.linspace(0.0, 15.0, 241)
     stack = eigensystem(level, center, fields)
-    sweep = level_sweep(level, center, fields)
     for k, bx in enumerate(fields):
         one = eigensystem(level, center, float(bx))
-        for es in (one, sweep[k]):
-            assert np.array_equal(stack.energies[k], es.energies)
-            assert np.array_equal(stack.vectors[k], es.vectors)
+        assert np.array_equal(stack.energies[k], one.energies)
+        assert np.array_equal(stack.vectors[k], one.vectors)
         ref = np.linalg.eigh(build_hamiltonian(level, center, float(bx)))[0][::-1]
         assert np.array_equal(one.energies, ref)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_valid_rates
 import spinquad.kinetics as kinetics
-from helpers import loop_generator, lstsq_steady_coords
+from helpers import loop_generator, lstsq_steady_coords, time_evolve
 from spinquad.hamiltonian import CenterParams
 from spinquad.kinetics import (
     NDIM,
@@ -25,7 +25,6 @@ from spinquad.kinetics import (
     steady_state,
     steady_state_at,
     steady_states,
-    time_evolve,
     trace_functional,
 )
 from spinquad.multipoles import dipole_x, quadrupole
